@@ -18,8 +18,12 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 
-echo "==> go vet $PKGS"
+echo "==> go vet $PKGS (asmdecl checks gemm_amd64.s against its Go declarations)"
 go vet "$PKGS"
+
+echo "==> portable GEMM path (GOARCH=arm64 build + vet, so the !amd64 kernel file cannot rot)"
+GOARCH=arm64 go build "$PKGS"
+GOARCH=arm64 go vet ./internal/dense
 
 echo "==> cbmlint $PKGS (all analyzers incl. arenalease/ctxprop/determinism, JSON report)"
 # -json keeps the failure report stable and greppable; the report is
@@ -53,8 +57,8 @@ go test -race -count=1 -run 'TestEngine' ./internal/gnn/
 echo "==> micro-batching smoke (-race, deterministic clock + batched bitwise equivalence)"
 go test -race -count=1 -run 'TestBatcher|TestGatherScatter|TestEngineBatched' ./internal/gnn/
 
-echo "==> zero-alloc smoke (arena + forward path + engine steady state, incl. sharded backend)"
-go test -count=1 -run 'ZeroAlloc|TestArenaSteadyState|TestSAGEBatchAllocs' ./internal/exec/ ./internal/gnn/ ./internal/shard/
+echo "==> zero-alloc smoke (GEMM kernel + arena + forward path + engine steady state, incl. sharded backend; SIMD GEMM bitwise vs portable)"
+go test -count=1 -run 'ZeroAlloc|TestArenaSteadyState|TestSAGEBatchAllocs|TestMulToBitwisePortable' ./internal/dense/ ./internal/exec/ ./internal/gnn/ ./internal/shard/
 
 echo "==> shard stress (-race, concurrent sharded serving + lease pool)"
 go test -race -count=1 -run 'TestEngineSharded|TestSharded|TestLease|TestProvisionScratch' ./internal/gnn/ ./internal/shard/

@@ -1,8 +1,17 @@
 // Package dense implements a row-major single-precision dense matrix
-// with the operations the GCN pipeline needs: parallel blocked GEMM
+// with the operations the GCN pipeline needs: row-parallel GEMM
 // (standing in for the dense-dense products PyTorch performs in the
 // paper's pipeline), element-wise activation, and error metrics used by
 // the correctness harness.
+//
+// The GEMM row kernel is chosen once at init from the CPU. On amd64
+// with AVX it is a register-blocked micro-kernel in assembly: it keeps
+// each 8-column strip of an output row in one YMM register while it
+// multiplies and adds, as separate instructions (no FMA), in k order,
+// and masks the product of a zero a[i,k] to +0, which leaves the sum's
+// bits as skipping it would. Each lane therefore rounds exactly like
+// the portable kernel's crow[j] += a[i,k]*b[k,j], so the two are
+// bitwise equal. Everywhere else the portable i-k-j axpy loop runs.
 package dense
 
 import (
@@ -137,10 +146,9 @@ func Mul(a, b *Matrix) *Matrix {
 }
 
 // MulParallel computes C = A·B using the given number of threads
-// (threads < 1 selects the default). The kernel is an i-k-j loop with
-// the inner update expressed as an axpy over C's row, which streams B
-// and C rows contiguously — the cache-friendly layout for row-major
-// data.
+// (threads < 1 selects the default). Output rows are split over the
+// threads; each row streams B and C rows contiguously, the
+// cache-friendly layout for row-major data.
 func MulParallel(a, b *Matrix, threads int) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("dense: Mul shape mismatch %d×%d · %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -160,23 +168,25 @@ func MulTo(c, a, b *Matrix, threads int) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("dense: MulTo shape mismatch: c %dx%d, a %dx%d, b %dx%d", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	c.Zero()
 	if parallel.Sequential(threads, a.Rows) {
-		mulRows(c, a, b, 0, a.Rows)
+		mulRowsKernel(c, a, b, 0, a.Rows)
 		return
 	}
 	parallel.ForRange(a.Rows, threads, func(lo, hi int) {
-		mulRows(c, a, b, lo, hi)
+		mulRowsKernel(c, a, b, lo, hi)
 	})
 }
 
-// mulRows computes output rows [lo, hi) of c = a·b (c pre-zeroed).
+// mulRows computes output rows [lo, hi) of c = a·b, overwriting them.
+// It is the portable kernel and the reference the SIMD kernel must
+// match bit for bit.
 //
 //cbm:hotpath
 func mulRows(c, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		crow := c.Row(i)
+		clear(crow)
 		for k, av := range arow {
 			if av != 0 {
 				blas.Axpy(av, b.Row(k), crow)

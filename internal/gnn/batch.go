@@ -126,7 +126,9 @@ func inferStackBatchTo(ctx *exec.Ctx, outs []*dense.Matrix, layers []*GCNConv, a
 		if l != len(layers)-1 {
 			// Element-wise, so applying it to the wide buffer is the
 			// same bits as applying it per slice.
+			asp := ctx.Begin(obs.StageActivation)
 			wideS.ReLU()
+			asp.End()
 		}
 		wideH = wideS
 		lsp.End()

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dense"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/xrand"
 )
 
@@ -185,6 +186,45 @@ func TestInferToSteadyStateZeroAlloc(t *testing.T) {
 			model.InferTo(ctx, out, a, x)
 		}); allocs != 0 {
 			t.Fatalf("backend %T: steady-state InferTo allocates %v times per pass", a, allocs)
+		}
+	}
+}
+
+// TestForwardGemmActivationSpans checks the per-stage attribution a
+// recorder sink sees: one gemm span per dense X·W and one activation
+// span per ReLU between layers, on the solo, stack and batched paths.
+func TestForwardGemmActivationSpans(t *testing.T) {
+	csr, cbmB := testBackends(t, 58, 120)
+	rng := xrand.New(59)
+	x := randomFeatures(rng, csr.Rows(), 8)
+	model := NewGCN2(8, 6, 3, 60)
+	stack := []*GCNConv{NewGCNConv(8, 6, rng), NewGCNConv(6, 6, rng), NewGCNConv(6, 3, rng)}
+	for _, a := range []Adjacency{csr, cbmB} {
+		cases := []struct {
+			name             string
+			run              func(ctx *exec.Ctx)
+			gemm, activation int64
+		}{
+			{"GCN2.InferTo", func(ctx *exec.Ctx) {
+				model.InferTo(ctx, dense.New(a.Rows(), 3), a, x)
+			}, 2, 1},
+			{"InferStackTo", func(ctx *exec.Ctx) {
+				InferStackTo(ctx, dense.New(a.Rows(), 3), stack, a, x)
+			}, 3, 2},
+			{"GCN2.InferBatchTo", func(ctx *exec.Ctx) {
+				outs := []*dense.Matrix{dense.New(a.Rows(), 3), dense.New(a.Rows(), 3)}
+				model.InferBatchTo(ctx, outs, a, []*dense.Matrix{x, x})
+			}, 4, 1},
+		}
+		for _, tc := range cases {
+			rec := obs.NewRecorder()
+			tc.run(exec.NewWithSink(1, rec))
+			gemm, _ := rec.StageTotals(obs.StageGemm)
+			act, _ := rec.StageTotals(obs.StageActivation)
+			if gemm != tc.gemm || act != tc.activation {
+				t.Fatalf("%s backend=%T: %d gemm and %d activation spans, want %d and %d",
+					tc.name, a, gemm, act, tc.gemm, tc.activation)
+			}
 		}
 	}
 }

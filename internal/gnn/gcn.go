@@ -42,7 +42,9 @@ func (g *GCN2) InferTo(ctx *exec.Ctx, out *dense.Matrix, a Adjacency, x *dense.M
 	sp := ctx.Begin(obs.StageInfer)
 	h := ctx.Borrow(a.Rows(), g.L0.Lin.Out)
 	g.L0.ForwardTo(ctx, h, a, x)
+	asp := ctx.Begin(obs.StageActivation)
 	h.ReLU()
+	asp.End()
 	g.L1.ForwardTo(ctx, out, a, h)
 	ctx.Release(h)
 	sp.End()
@@ -108,7 +110,9 @@ func InferStackTo(ctx *exec.Ctx, out *dense.Matrix, layers []*GCNConv, a Adjacen
 			prev = nil
 		}
 		if i != len(layers)-1 {
+			asp := ctx.Begin(obs.StageActivation)
 			dst.ReLU()
+			asp.End()
 			prev = dst
 		}
 		cur = dst

@@ -43,7 +43,9 @@ func (l *Linear) Forward(x *dense.Matrix, threads int) *dense.Matrix {
 //
 //cbm:hotpath
 func (l *Linear) ForwardTo(ctx *exec.Ctx, out, x *dense.Matrix) {
+	sp := ctx.Begin(obs.StageGemm)
 	dense.MulTo(out, x, l.W, ctx.Threads())
+	sp.End()
 	if l.Bias != nil {
 		out.AddBiasRow(l.Bias)
 	}

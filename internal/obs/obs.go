@@ -74,6 +74,12 @@ const (
 	// StageHalo is one shard's halo exchange: gathering frontier rows of
 	// the operand and accumulating the cross-shard CSR remainder.
 	StageHalo
+	// StageGemm is one dense X·W product of a gnn.Linear layer
+	// (dense.MulTo), the combination step of a GNN layer.
+	StageGemm
+	// StageActivation is one ReLU between the layers of a GCN forward
+	// pass.
+	StageActivation
 
 	numStages
 )
@@ -92,6 +98,8 @@ var stageNames = [numStages]string{
 	StageReorder:    "reorder",
 	StageShard:      "shard",
 	StageHalo:       "halo",
+	StageGemm:       "gemm",
+	StageActivation: "activation",
 }
 
 func (s Stage) String() string {
