@@ -237,18 +237,18 @@ func BenchmarkTable5Clustering(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateStrategies is the DESIGN.md ablation: branch-only vs
-// branch×column-block scheduling of the parallel update stage.
+// BenchmarkUpdateStrategies is the DESIGN.md ablation: the two-stage
+// CBM plan vs the CSR plan that skips the compression tree.
 func BenchmarkUpdateStrategies(b *testing.B) {
 	for _, d := range benchData(b) {
 		b.Run(d.name+"/branch", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d.cbm0.MulToStrategy(d.out, d.x, 0, cbm.StrategyBranch, 0)
+				d.cbm0.MulToStrategy(d.out, d.x, 0, cbm.StrategyBranch)
 			}
 		})
-		b.Run(d.name+"/branch-column", func(b *testing.B) {
+		b.Run(d.name+"/csr", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d.cbm0.MulToStrategy(d.out, d.x, 0, cbm.StrategyBranchColumn, 16)
+				d.cbm0.MulToStrategy(d.out, d.x, 0, cbm.StrategyCSR)
 			}
 		})
 	}

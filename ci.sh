@@ -69,7 +69,7 @@ go test -count=1 -run 'TestCheckShardEquivalence' ./internal/oracle/
 echo "==> cmd/verify smoke sweep"
 go run ./cmd/verify -n 64 -sweep quick
 
-echo "==> fused vs two-stage equivalence smoke"
+echo "==> two-stage thread invariance + CSR tolerance smoke"
 go run ./cmd/verify -n 96 -gens hub,sbm -alphas 0,4 -threads 1,4,8 -stress 1
 
 echo "==> cmd/gcnserve smoke (concurrent engine under load)"
@@ -94,16 +94,5 @@ go run ./cmd/cbmbench -exp bench -datasets cora -cols 16 -reps 3 -warmup 1 \
     -bench-out BENCH_cbm.smoke.json -metrics >/dev/null
 go run ./cmd/cbmbench -check-bench BENCH_cbm.smoke.json
 rm -f BENCH_cbm.smoke.json
-
-echo "==> calibrate sweep smoke (mini registry -> temp CALIBRATION.json)"
-go run ./cmd/calibrate -plans -mini -datasets cora,collab -reps 3 -warmup 1 \
-    -out CALIBRATION.smoke.json >/dev/null
-rm -f CALIBRATION.smoke.json
-
-echo "==> selector model staleness gate (committed CALIBRATION.json vs model_default.go)"
-go run ./cmd/calibrate -check-model
-
-echo "==> selector acceptance gate smoke (fresh mini measurements)"
-go run ./cmd/calibrate -gate -mini -datasets cora,collab -reps 3 -warmup 1
 
 echo "ci: OK"

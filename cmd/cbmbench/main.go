@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/cbm"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -30,7 +29,7 @@ func main() {
 	var (
 		exps         = flag.String("exp", "all", "comma-separated experiments: table1,table2,fig2,table3,table4,table5,verify,bench,ablation,gnnsuite,scaling,memwall,buildscale,all")
 		seed         = flag.Uint64("seed", 1, "generator seed")
-		threads      = flag.Int("threads", 0, "parallel worker count (0 = GOMAXPROCS)")
+		threads      = flag.Int("threads", 0, "parallel worker count (0 = GOMAXPROCS; -exp bench clamps it to the cores present)")
 		cols         = flag.Int("cols", 128, "columns of the dense operand X (paper: 500)")
 		reps         = flag.Int("reps", 5, "timing repetitions (paper: 250)")
 		warmup       = flag.Int("warmup", 1, "warmup runs before timing")
@@ -44,21 +43,12 @@ func main() {
 		checkBench   = flag.String("check-bench", "", "validate an existing bench report file and exit")
 		metrics      = flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
 		profile      = flag.Bool("stage-labels", false, "attach pprof cbm_stage goroutine labels to instrumented regions")
-		plan         = flag.String("plan", "", "process-wide plan mode for MulTo: auto, heuristic, two-stage, fused or csr (default auto; also CBM_PLAN)")
 		doReorder    = flag.String("reorder", "", "run -exp bench headline numbers on the reordered graph (banded candidate build): minhash or rcm")
 		window       = flag.Int("window", 0, "candidate band for the bench reorder block (0 = default 64)")
 		shards       = flag.String("shards", "", "comma-separated shard counts for the bench shard block (default 1,2,4,8)")
 		shardOrder   = flag.String("shard-order", "", "row ordering before the shard cut: natural (default), minhash or rcm")
 	)
 	flag.Parse()
-
-	if *plan != "" {
-		pm, err := cbm.ParsePlanMode(*plan)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		cbm.SetPlanMode(pm)
-	}
 
 	if *checkBench != "" {
 		f, err := os.Open(*checkBench)

@@ -32,7 +32,6 @@ func main() {
 		train       = flag.Bool("train", false, "also run a short training loop on both backends")
 		metrics     = flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
 		stageLabels = flag.Bool("stage-labels", false, "tag pipeline stages with runtime/pprof labels (cbm_stage=...)")
-		plan        = flag.String("plan", "", "process-wide plan mode for MulTo: auto, heuristic, two-stage, fused or csr (default auto; also CBM_PLAN)")
 		doReorder   = flag.String("reorder", "", "run the CBM backend on the reordered graph: minhash or rcm (features gathered / outputs scattered transparently)")
 		window      = flag.Int("window", 0, "CBM candidate band |x−y| ≤ window (0 = exact); pairs with -reorder")
 		shards      = flag.Int("shards", 0, "serve the CBM side through the row-partitioned sharded backend (0/1 = unsharded)")
@@ -41,13 +40,6 @@ func main() {
 	flag.Parse()
 	if *stageLabels {
 		obs.EnableProfiling()
-	}
-	if *plan != "" {
-		pm, err := cbm.ParsePlanMode(*plan)
-		if err != nil {
-			fatal(err)
-		}
-		cbm.SetPlanMode(pm)
 	}
 
 	d, err := bench.Get(*dataset)
@@ -67,7 +59,7 @@ func main() {
 		cbmBackend *gnn.CBMAdjacency // nil in sharded mode
 	)
 	if *shards > 1 {
-		sb, err := gnn.NewShardedCBMBackend(a, shard.Options{Shards: *shards, CBM: copt, ColsHint: *cols}, *shardOrder)
+		sb, err := gnn.NewShardedCBMBackend(a, shard.Options{Shards: *shards, CBM: copt}, *shardOrder)
 		if err != nil {
 			fatal(err)
 		}
@@ -108,21 +100,12 @@ func main() {
 
 	th := *threads
 	if cbmBackend != nil {
-		outf("plan selector: mode=%s, chosen=%s (threads=%d cols=%d)\n",
-			cbm.CurrentPlanMode(), cbmBackend.M.PlanFor(th, *cols), th, *cols)
+		outf("CBM plan: %s\n", cbmBackend.M.PlanFor(th, *cols))
 	}
 	tCSR := bench.Measure(*reps, 1, func() { model.Infer(csrBackend, x, th) })
-	// Stage deltas around the CBM measurement expose which execution
-	// plan MulTo's cost model picked (fused single-pass vs two-stage).
-	fc0, fn0 := obs.StageTotals(obs.StageFused)
-	uc0, un0 := obs.StageTotals(obs.StageUpdate)
 	tCBM := bench.Measure(*reps, 1, func() { model.Infer(cbmAdj, x, th) })
-	fc1, fn1 := obs.StageTotals(obs.StageFused)
-	uc1, un1 := obs.StageTotals(obs.StageUpdate)
 	outf("inference CSR: %s s\n", tCSR)
 	outf("inference CBM: %s s\n", tCBM)
-	outf("CBM plan: fused ×%d (%.4fs), two-stage ×%d (update %.4fs)\n",
-		fc1-fc0, float64(fn1-fn0)/1e9, uc1-uc0, float64(un1-un0)/1e9)
 	outf("speedup:       %.2f×\n", tCSR.Seconds()/tCBM.Seconds())
 
 	// Correctness cross-check, the paper's 1e-5 criterion.

@@ -77,7 +77,7 @@ func main() {
 	var served gnn.Adjacency
 	if *shards > 1 {
 		sb, err := gnn.NewShardedCBMBackend(a,
-			shard.Options{Shards: *shards, CBM: cbm.Options{Alpha: *alpha}, ColsHint: *cols}, *shardOrder)
+			shard.Options{Shards: *shards, CBM: cbm.Options{Alpha: *alpha}}, *shardOrder)
 		if err != nil {
 			fatal(err)
 		}

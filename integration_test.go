@@ -26,7 +26,7 @@ func tools(t *testing.T) string {
 		if toolsErr != nil {
 			return
 		}
-		for _, tool := range []string{"cbmbench", "cbmcompress", "gcninfer", "graphgen", "calibrate"} {
+		for _, tool := range []string{"cbmbench", "cbmcompress", "gcninfer", "graphgen"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(toolsDir, tool), "./cmd/"+tool)
 			cmd.Env = os.Environ()
 			if out, err := cmd.CombinedOutput(); err != nil {

@@ -101,7 +101,7 @@ func TestRegistryGeneratorsScaleAndShape(t *testing.T) {
 	}
 	for _, d := range Registry {
 		if d.Name == "collab" || d.Name == "copapersdblp" || d.Name == "copapersciteseer" || d.Name == "ogbn-proteins" {
-			continue // covered by the calibrate tool; too slow for unit tests
+			continue // too slow for unit tests; the benchmark tools generate them
 		}
 		a := d.Generate(1)
 		wantNodes := d.Paper.Nodes / d.Scale

@@ -50,7 +50,7 @@ func Measure(reps, warm int, f func()) Timing {
 // first, so slow drift (thermal throttling, background load) biases
 // neither side. Measuring them with two separate Measure calls instead
 // lets minutes-apart machine state masquerade as a kernel difference —
-// exactly the artifact a fused-vs-two-stage comparison must not have.
+// exactly the artifact a plan-vs-plan comparison must not have.
 func MeasurePaired(reps, warm int, f, g func()) (Timing, Timing) {
 	if reps < 1 {
 		reps = 1
@@ -76,9 +76,9 @@ func MeasurePaired(reps, warm int, f, g func()) (Timing, Timing) {
 // MeasureInterleaved generalizes MeasurePaired to N alternatives: each
 // round times one run of every candidate, rotating which starts the
 // round, so machine drift is shared evenly across all of them. This is
-// the measurement the plan-selector calibration uses — comparing three
-// plans with three separate Measure calls would let minutes-apart
-// machine state masquerade as a plan difference and poison the fit.
+// the measurement the bench report's forced-plan timings use — timing
+// the plans with separate Measure calls would let minutes-apart
+// machine state masquerade as a plan difference.
 func MeasureInterleaved(reps, warm int, fs ...func()) []Timing {
 	if len(fs) == 0 {
 		return nil

@@ -17,17 +17,15 @@ type TuneResult struct {
 	Seconds float64
 	Std     float64
 	// SpMMSeconds and UpdateSeconds split the mean multiplication time
-	// into the two pipeline stages (Sec. V-A); FusedSeconds is the mean
-	// time spent in the fused single-pass plan instead; the CSR plan
-	// reports under SpMMSeconds (it is all SpMM). Attribution goes
+	// into the two pipeline stages (Sec. V-A); the CSR plan reports
+	// under SpMMSeconds (it is all SpMM). Attribution goes
 	// through a per-tune obs.Recorder scoped to this measurement's
 	// exec.Ctx, so concurrent multiplies elsewhere in the process cannot
 	// leak into the split (reading global obs.StageTotals deltas here
 	// used to double-count them). All are 0 when obs is disabled.
 	SpMMSeconds   float64
 	UpdateSeconds float64
-	FusedSeconds  float64
-	// Plan is the execution plan the selector picks for this α at the
+	// Plan is the execution plan MulTo picks for this α at the
 	// measured thread count and operand width (PlanFor).
 	Plan string
 	// Ratio is the CSR/CBM footprint compression ratio at this α.
@@ -85,7 +83,6 @@ func AutoTune(b *Builder, alphas []int, cols, reps, threads int, seed uint64) (b
 			Std:           tm.Std.Seconds(),
 			SpMMSeconds:   rec.StageSeconds(obs.StageSpMM) / calls,
 			UpdateSeconds: rec.StageSeconds(obs.StageUpdate) / calls,
-			FusedSeconds:  rec.StageSeconds(obs.StageFused) / calls,
 			Plan:          m.PlanFor(ctx.Threads(), cols).String(),
 			Ratio:         float64(csrBytes) / float64(m.FootprintBytes()),
 		})

@@ -10,7 +10,6 @@ package cbm
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/clock"
@@ -106,86 +105,15 @@ type Matrix struct {
 	branches [][]int32   // pre-order node lists of the root's subtrees
 	diag     []float32   // DAD only: the diagonal d
 
-	// Cost-guided scheduling metadata for the fused kernel, precomputed
-	// once per compression (initSchedule). Costs are in per-column
-	// units: processing branch i touches branchCost[i]·cols scalars
-	// (one axpy row per delta nnz plus one parent update per node).
-	branchCost []int64 // per-branch fused cost: Σ delta row nnz + |branch|
-	branchLPT  []int32 // branch indices sorted by descending cost (LPT order)
-	totalCost  int64   // Σ branchCost
-	maxCost    int64   // max branchCost — the fused critical path
-
-	// Plan-selector inputs (initSchedule). deltaNNZ/deltaRowMax describe
-	// the delta matrix; srcNNZ is nnz of the represented matrix,
-	// reconstructed from the delta signs so it is available even for
-	// decoded artifacts that no longer carry the original CSR.
-	deltaNNZ    int64
-	deltaRowMax int64
-	srcNNZ      int64
-
 	// CSR-plan source: the original binary matrix and the diagonal
 	// scales of the represented factorization, kept so MulTo can bypass
-	// the compression tree entirely (StrategyCSR) when the calibrated
-	// selector decides the tree is pure overhead. nil after Decode — the
-	// encoded artifact does not include the original — in which case the
-	// CSR plan is unavailable (see HasCSRPlan) and the selector falls
-	// back to the CBM plans.
+	// the compression tree entirely (StrategyCSR) when the plan rule says
+	// the tree is pure overhead. nil after Decode — the encoded artifact
+	// does not include the original — in which case the CSR plan is
+	// unavailable (see HasCSRPlan) and MulTo runs two-stage.
 	src      *sparse.CSR
 	srcLeft  []float32 // diag(left) of the represented matrix; nil = identity
 	srcRight []float32 // diag(right); nil = identity
-}
-
-// initSchedule precomputes the fused kernel's cost model: per-branch
-// costs, the longest-processing-time-first claim order, the
-// aggregate/critical-path totals, and the delta-sparsity summary the
-// plan selector's feature extraction reads (deltaNNZ, deltaRowMax,
-// srcNNZ). Costs depend only on the delta matrix's sparsity structure,
-// so the scaled views (AD, DAD) share them with their KindA base.
-//
-// srcNNZ — nnz of the represented matrix — is reconstructed from the
-// delta signs: walking a branch in pre-order, nnz(A_x) is the parent's
-// nnz plus the +deltas minus the −deltas of row x (virtual-root
-// children are all +deltas). This keeps the feature available for
-// decoded artifacts, which do not carry the original CSR.
-func (m *Matrix) initSchedule() {
-	m.branchCost = make([]int64, len(m.branches))
-	m.branchLPT = make([]int32, len(m.branches))
-	rowNNZ := make([]int64, m.n) // nnz of each reconstructed source row
-	for bi, branch := range m.branches {
-		cost := int64(len(branch))
-		for _, x := range branch {
-			rnnz := int64(m.delta.RowNNZ(int(x)))
-			cost += rnnz
-			m.deltaNNZ += rnnz
-			if rnnz > m.deltaRowMax {
-				m.deltaRowMax = rnnz
-			}
-			_, vals := m.delta.Row(int(x))
-			var plus, minus int64
-			for _, v := range vals {
-				if v > 0 {
-					plus++
-				} else if v < 0 {
-					minus++
-				}
-			}
-			if p := m.parent[x]; p >= 0 {
-				rowNNZ[x] = rowNNZ[p] + plus - minus
-			} else {
-				rowNNZ[x] = plus
-			}
-			m.srcNNZ += rowNNZ[x]
-		}
-		m.branchCost[bi] = cost
-		m.branchLPT[bi] = int32(bi)
-		m.totalCost += cost
-		if cost > m.maxCost {
-			m.maxCost = cost
-		}
-	}
-	sort.SliceStable(m.branchLPT, func(i, j int) bool {
-		return m.branchCost[m.branchLPT[i]] > m.branchCost[m.branchLPT[j]]
-	})
 }
 
 // Builder caches the α-independent candidate graph so a single AAᵀ
@@ -270,7 +198,6 @@ func (b *Builder) Compress(alpha int, forceMCA bool) (*Matrix, BuildStats, error
 		branches: branchDecompose(parent),
 		src:      b.a,
 	}
-	m.initSchedule()
 	return m, stats, nil
 }
 
@@ -430,8 +357,7 @@ func (m *Matrix) Shape() costmodel.MatrixShape {
 }
 
 // HasCSRPlan reports whether the matrix still carries its source CSR,
-// making StrategyCSR (and the selector's PlanCSR choice) available.
-// Decoded artifacts do not.
+// making StrategyCSR available. Decoded artifacts do not.
 func (m *Matrix) HasCSRPlan() bool { return m.src != nil }
 
 // Diag returns the DAD diagonal (nil for A and AD kinds).
@@ -478,7 +404,6 @@ func (m *Matrix) WithColumnScale(d []float32) *Matrix {
 		src:      m.src,
 		srcRight: dc,
 	}
-	out.copySchedule(m)
 	return out
 }
 
@@ -505,7 +430,6 @@ func (m *Matrix) WithSymmetricScale(d []float32) *Matrix {
 		srcLeft:  dc,
 		srcRight: dc,
 	}
-	out.copySchedule(m)
 	return out
 }
 
@@ -537,21 +461,7 @@ func (m *Matrix) WithScales(left, right []float32) *Matrix {
 		srcLeft:  lc,
 		srcRight: rc,
 	}
-	out.copySchedule(m)
 	return out
-}
-
-// copySchedule shares the KindA base's precomputed schedule and
-// delta-sparsity summary with a scaled view (the column scaling never
-// changes the sparsity structure).
-func (m *Matrix) copySchedule(base *Matrix) {
-	m.branchCost = base.branchCost
-	m.branchLPT = base.branchLPT
-	m.totalCost = base.totalCost
-	m.maxCost = base.maxCost
-	m.deltaNNZ = base.deltaNNZ
-	m.deltaRowMax = base.deltaRowMax
-	m.srcNNZ = base.srcNNZ
 }
 
 // ToCSR decompresses the represented matrix back to CSR form —

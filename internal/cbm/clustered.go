@@ -105,7 +105,6 @@ func CompressClustered(a *sparse.CSR, opt Options, copt ClusterOptions) (*Matrix
 		branches: branchDecompose(parent),
 		src:      a,
 	}
-	m.initSchedule()
 	return m, stats, cstats, nil
 }
 

@@ -126,7 +126,6 @@ func Decode(r io.Reader) (*Matrix, error) {
 	if covered != n {
 		return nil, fmt.Errorf("cbm: parent pointers contain a cycle (%d of %d rows reachable)", covered, n)
 	}
-	m.initSchedule()
 	return m, nil
 }
 

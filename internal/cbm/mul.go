@@ -53,18 +53,17 @@ func (m *Matrix) MulParallel(b *dense.Matrix, threads int) *dense.Matrix {
 
 // MulTo computes c = M·b into the pre-allocated output c (overwritten).
 //
-// It dispatches to one of three physical execution plans — the paper's
+// It dispatches to one of two physical execution plans, chosen per
+// matrix by the compression-ratio rule behind PlanFor: the paper's
 // two-stage pipeline (whole-matrix delta SpMM, barrier, tree update),
-// the fused single-pass kernel (see mulFused), or the raw diag-scaled
-// CSR product that skips the compression tree entirely — chosen per
-// call by the calibrated selector behind PlanFor. The CBM-family plans
-// are bitwise-identical; the CSR plan computes the same product by a
-// different summation order and is validated within tolerance by the
+// or the raw diag-scaled CSR product that skips the compression tree
+// entirely. The CSR plan computes the same product by a different
+// summation order and is validated within tolerance by the
 // differential oracle.
 //
 //cbm:hotpath
 func (m *Matrix) MulTo(c, b *dense.Matrix, threads int) {
-	m.mulAuto(c, b, threads, obs.Global)
+	m.mulStrategy(c, b, threads, m.PlanFor(threads, b.Cols), obs.Global)
 }
 
 // MulToCtx is MulTo driven by an execution context: the thread budget
@@ -74,38 +73,14 @@ func (m *Matrix) MulTo(c, b *dense.Matrix, threads int) {
 //
 //cbm:hotpath
 func (m *Matrix) MulToCtx(ctx *exec.Ctx, c, b *dense.Matrix) {
-	m.mulAuto(c, b, ctx.Threads(), ctx.Sink())
-}
-
-// mulAuto is the shared auto-dispatch body behind MulTo and MulToCtx.
-//
-//cbm:hotpath
-func (m *Matrix) mulAuto(c, b *dense.Matrix, threads int, sink obs.Sink) {
-	if b.Rows != m.n {
-		panic(fmt.Sprintf("cbm: Mul shape mismatch: %d×%d · %d×%d", m.n, m.n, b.Rows, b.Cols))
-	}
-	if c.Rows != m.n || c.Cols != b.Cols {
-		panic(fmt.Sprintf("cbm: Mul output shape mismatch: got %d×%d, want %d×%d", c.Rows, c.Cols, m.n, b.Cols))
-	}
-	sink.Inc(obs.CounterMulCalls)
-	t := parallel.EffectiveThreads(threads, m.n)
-	switch m.planFor(t, b.Cols) {
-	case StrategyFused:
-		m.mulFused(c, b, t, sink)
-	case StrategyCSR:
-		m.mulCSR(c, b, threads, sink)
-	default:
-		// The two-stage plan keeps the caller's raw thread count — its
-		// row-chunk scheduling semantics predate EffectiveThreads.
-		m.mulTwoStage(c, b, threads, sink)
-	}
+	m.mulStrategy(c, b, ctx.Threads(), m.PlanFor(ctx.Threads(), b.Cols), ctx.Sink())
 }
 
 // MulToStrategyCtx is MulToStrategy driven by an execution context.
 //
 //cbm:hotpath
-func (m *Matrix) MulToStrategyCtx(ctx *exec.Ctx, c, b *dense.Matrix, strat UpdateStrategy, colBlock int) {
-	m.mulStrategy(c, b, ctx.Threads(), strat, colBlock, ctx.Sink())
+func (m *Matrix) MulToStrategyCtx(ctx *exec.Ctx, c, b *dense.Matrix, strat UpdateStrategy) {
+	m.mulStrategy(c, b, ctx.Threads(), strat, ctx.Sink())
 }
 
 // mulTwoStage is the paper's Sec. V-A pipeline: delta SpMM over every
@@ -126,7 +101,9 @@ func (m *Matrix) mulTwoStage(c, b *dense.Matrix, threads int, sink obs.Sink) {
 		return
 	}
 	obs.DoWith(sink, obs.StageUpdate, func() {
-		m.update(c, threads)
+		parallel.ForDynamic(len(m.branches), threads, 1, func(bi int) {
+			m.updateBranch(c, m.branches[bi])
+		})
 	})
 }
 
@@ -147,42 +124,6 @@ func (m *Matrix) mulCSR(c, b *dense.Matrix, threads int, sink obs.Sink) {
 		panic(kindPanicMsg(m.kind, m.n))
 	}
 	kernels.SpMMDiagTo(c, m.src, b, m.srcLeft, m.srcRight, threads, sink)
-}
-
-// fusedProfitable is the LEGACY plan heuristic, kept reachable behind
-// PlanModeHeuristic for A/B comparison and as the CBM-plan fallback
-// when the selector wants CSR but the source is gone. Its reasoning —
-// fused parallelism is branch-level only, so it needs one branch per
-// worker and no dominating branch (maxCost·threads ≤ totalCost by the
-// LPT bound), while sequentially fusion is "a pure locality win" —
-// sounded right and measured wrong: the v3/v4 benches showed fused
-// 0.90–0.98× two-stage on every dataset, and calibration (see
-// CALIBRATION.json) attributes the loss to the per-row SpMMRowSegment
-// dispatch overhead that the batched two-stage SpMM amortizes. The
-// calibrated selector in plan.go replaced it as the default.
-func (m *Matrix) fusedProfitable(threads int) bool {
-	if threads <= 1 {
-		return true
-	}
-	if len(m.branches) < threads || len(m.branchLPT) != len(m.branches) {
-		return false
-	}
-	return m.maxCost*int64(threads) <= m.totalCost
-}
-
-// update runs the tree-traversal stage over the finished delta product.
-//
-//cbm:hotpath
-func (m *Matrix) update(c *dense.Matrix, threads int) {
-	if threads == 1 || len(m.branches) == 1 {
-		for _, branch := range m.branches {
-			m.updateBranch(c, branch)
-		}
-		return
-	}
-	parallel.ForDynamic(len(m.branches), threads, 1, func(bi int) {
-		m.updateBranch(c, m.branches[bi])
-	})
 }
 
 // updateBranch applies the update stage to one root subtree, whose
@@ -217,45 +158,9 @@ func (m *Matrix) updateBranch(c *dense.Matrix, branch []int32) {
 	}
 }
 
-// MulVec computes y = M·v for a dense vector (the matrix-vector product
-// of Sec. IV). It shares the two-stage structure of MulTo.
-func (m *Matrix) MulVec(v []float32) []float32 {
-	if len(v) != m.n {
-		panic(fmt.Sprintf("cbm: MulVec shape mismatch: matrix is %dx%d, len(v)=%d", m.n, m.n, len(v)))
-	}
-	obs.Inc(obs.CounterMulVecCalls)
-	y := kernels.SpMV(m.delta, v)
-	switch m.kind {
-	case KindA, KindAD:
-		for _, branch := range m.branches {
-			for _, x := range branch {
-				if p := m.parent[x]; p >= 0 {
-					y[x] += y[p]
-				}
-			}
-		}
-	case KindDAD:
-		d := m.diag
-		for _, branch := range m.branches {
-			for _, x := range branch {
-				if p := m.parent[x]; p >= 0 {
-					y[x] = d[x] * (y[p]/d[p] + y[x])
-				} else {
-					y[x] *= d[x]
-				}
-			}
-		}
-	default:
-		// Without this guard an unknown kind would skip the update stage
-		// and return the raw delta product as if it were the answer.
-		panic(kindPanicMsg(m.kind, m.n))
-	}
-	return y
-}
-
-// UpdateStrategy selects how the multiply is scheduled — used by the
-// ablation benchmarks and the differential-verification sweeps; MulTo
-// picks between StrategyBranch and StrategyFused on its own cost model.
+// UpdateStrategy names an execution plan: MulTo picks one through
+// PlanFor, and MulToStrategy forces one for ablation benchmarks and the
+// differential-verification sweeps.
 type UpdateStrategy int
 
 const (
@@ -263,23 +168,13 @@ const (
 	// delta SpMM, barrier, then whole root subtrees distributed to
 	// threads for the update.
 	StrategyBranch UpdateStrategy = iota
-	// StrategyBranchColumn additionally splits B's columns into
-	// blocks, scheduling (branch, block) pairs: more parallel slack
-	// for trees with few heavy branches, at the cost of traversing
-	// each branch once per block.
-	StrategyBranchColumn
-	// StrategyFused fuses both stages into one pass per branch: each
-	// row's delta product is immediately followed by its parent
-	// update, with no inter-stage barrier, column tiling for wide
-	// operands and longest-processing-time-first branch scheduling.
-	StrategyFused
 	// StrategyCSR bypasses the compression tree and multiplies the
 	// original matrix directly with the diag-scaled CSR kernel — the
 	// winning plan when compression bought nothing and the tree update
 	// is pure overhead. Available only while the matrix carries its
-	// source CSR (HasCSRPlan); unlike the CBM-family strategies its
-	// summation order differs, so results agree within floating-point
-	// tolerance rather than bitwise.
+	// source CSR (HasCSRPlan); its summation order differs from the
+	// two-stage plan, so results agree within floating-point tolerance
+	// rather than bitwise.
 	StrategyCSR
 )
 
@@ -287,10 +182,6 @@ func (s UpdateStrategy) String() string {
 	switch s {
 	case StrategyBranch:
 		return "branch"
-	case StrategyBranchColumn:
-		return "branch-column"
-	case StrategyFused:
-		return "fused"
 	case StrategyCSR:
 		return "csr"
 	default:
@@ -299,18 +190,15 @@ func (s UpdateStrategy) String() string {
 }
 
 // MulToStrategy is MulTo with an explicit execution plan (no
-// auto-selection) and, for StrategyBranchColumn, the column block width
-// (0 picks 64). The CBM-family strategies produce bitwise-identical
-// results — only the work partitioning differs; StrategyCSR agrees
-// within floating-point tolerance.
+// auto-selection).
 //
 //cbm:hotpath
-func (m *Matrix) MulToStrategy(c, b *dense.Matrix, threads int, strat UpdateStrategy, colBlock int) {
-	m.mulStrategy(c, b, threads, strat, colBlock, obs.Global)
+func (m *Matrix) MulToStrategy(c, b *dense.Matrix, threads int, strat UpdateStrategy) {
+	m.mulStrategy(c, b, threads, strat, obs.Global)
 }
 
 //cbm:hotpath
-func (m *Matrix) mulStrategy(c, b *dense.Matrix, threads int, strat UpdateStrategy, colBlock int, sink obs.Sink) {
+func (m *Matrix) mulStrategy(c, b *dense.Matrix, threads int, strat UpdateStrategy, sink obs.Sink) {
 	if b.Rows != m.n {
 		panic(fmt.Sprintf("cbm: Mul shape mismatch: %d×%d · %d×%d", m.n, m.n, b.Rows, b.Cols))
 	}
@@ -321,36 +209,11 @@ func (m *Matrix) mulStrategy(c, b *dense.Matrix, threads int, strat UpdateStrate
 	switch strat {
 	case StrategyBranch:
 		m.mulTwoStage(c, b, threads, sink)
-		return
-	case StrategyFused:
-		m.mulFused(c, b, parallel.EffectiveThreads(threads, m.n), sink)
-		return
 	case StrategyCSR:
 		m.mulCSR(c, b, threads, sink)
-		return
-	case StrategyBranchColumn:
-		// handled below
 	default:
 		panic(strategyPanicMsg(strat, m.n))
 	}
-	kernels.SpMMToSink(c, m.delta, b, threads, sink)
-	if colBlock <= 0 {
-		colBlock = 64
-	}
-	nBlocks := (c.Cols + colBlock - 1) / colBlock
-	// (branch, block) pairs are scheduled as one flat index space; the
-	// pair is recovered by division so no task slice is materialized
-	// (Property 3: the update stage allocates nothing).
-	obs.DoWith(sink, obs.StageUpdate, func() {
-		parallel.ForDynamic(len(m.branches)*nBlocks, threads, 1, func(ti int) {
-			lo := (ti % nBlocks) * colBlock
-			hi := lo + colBlock
-			if hi > c.Cols {
-				hi = c.Cols
-			}
-			m.updateBranchCols(c, m.branches[ti/nBlocks], lo, hi)
-		})
-	})
 }
 
 // strategyPanicMsg builds the panic text for an unknown strategy, out
@@ -359,181 +222,21 @@ func strategyPanicMsg(s UpdateStrategy, n int) string {
 	return fmt.Sprintf("cbm: unknown update strategy %d (%v) on %d×%d matrix", int(s), s, n, n)
 }
 
-// fusedColTile is the column tile width of the fused kernel. Wide
-// operands are processed tile by tile so the working set of one tree
-// step — the child's row segment, its parent's row segment and the
-// delta-touched B row segments — stays cache-resident; 256 float32
-// columns is 1 KiB per row segment. Per-element operation order is
-// column-independent, so tiling never changes a result bit.
-const fusedColTile = 256
-
-// mulFused is the fused single-pass multiply (StrategyFused): branches
-// are claimed in precomputed longest-processing-time-first order so the
-// heaviest subtree never lands last on a worker, and each branch is
-// processed in one pass — every row's delta product immediately
-// followed by its parent axpy (Eq. 6 scaling for DAD), with no barrier
-// between the stages, so the freshly computed delta rows are still
-// cache-hot when the update reads them. Per-branch, per-row and
-// per-element operation order is identical to the two-stage plan, so
-// results are bitwise equal to StrategyBranch. Property 3 holds: no
-// scratch beyond C is touched.
-//
-//cbm:hotpath
-func (m *Matrix) mulFused(c, b *dense.Matrix, threads int, sink obs.Sink) {
-	// Branch workers are pure CPU: a team larger than the machine's
-	// parallelism only adds context switches, and the claim order and
-	// results are identical for any team size, so cap it. (The two-stage
-	// plan keeps the caller's count untouched — its row-chunk scheduling
-	// semantics predate this kernel.)
-	if g := parallel.DefaultThreads(); threads > g {
-		threads = g
-	}
-	order := m.branchLPT
-	if threads == 1 || len(m.branches) == 1 || len(order) != len(m.branches) {
-		// Sequential (or order-less, e.g. hand-built test matrices):
-		// claim order is irrelevant, walk branches directly — and do it
-		// without the obs.DoWith closure, which would allocate at this
-		// call site even though nothing runs concurrently.
-		sp := sink.Begin(obs.StageFused)
-		for _, branch := range m.branches {
-			m.fusedBranch(c, b, branch)
-		}
-		sp.End()
-		return
-	}
-	obs.DoWith(sink, obs.StageFused, func() {
-		parallel.ForDynamic(len(order), threads, 1, func(k int) {
-			m.fusedBranch(c, b, m.branches[order[k]])
-		})
-	})
+// MulVec computes y = M·v for a dense vector (the matrix-vector product
+// of Sec. IV): the two-stage plan on v as an n×1 operand.
+func (m *Matrix) MulVec(v []float32) []float32 {
+	return m.MulVecParallel(v, 1)
 }
 
-// fusedBranch runs the fused pass over one root subtree, tiling the
-// operand's columns so wide B keeps the working set cache-resident.
-//
-//cbm:hotpath
-func (m *Matrix) fusedBranch(c, b *dense.Matrix, branch []int32) {
-	if c.Cols <= fusedColTile {
-		m.fusedBranchCols(c, b, branch, 0, c.Cols)
-		return
-	}
-	for lo := 0; lo < c.Cols; lo += fusedColTile {
-		hi := lo + fusedColTile
-		if hi > c.Cols {
-			hi = c.Cols
-		}
-		m.fusedBranchCols(c, b, branch, lo, hi)
-	}
-}
-
-// fusedBranchCols is the fused pass restricted to columns [lo, hi):
-// nodes arrive in pre-order, so each parent's row segment is finished
-// (delta product + its own update) before any child reads it.
-//
-//cbm:hotpath
-func (m *Matrix) fusedBranchCols(c, b *dense.Matrix, branch []int32, lo, hi int) {
-	switch m.kind {
-	case KindA, KindAD:
-		for _, x := range branch {
-			row := c.Row(int(x))[lo:hi]
-			kernels.SpMMRowSegment(row, m.delta, b, int(x), lo, hi)
-			if p := m.parent[x]; p >= 0 {
-				blas.Add(c.Row(int(p))[lo:hi], row)
-			}
-		}
-	case KindDAD:
-		d := m.diag
-		for _, x := range branch {
-			row := c.Row(int(x))[lo:hi]
-			kernels.SpMMRowSegment(row, m.delta, b, int(x), lo, hi)
-			p := m.parent[x]
-			if p < 0 {
-				// Eq. 6 with a virtual parent: u_x = d_x · ((AD)'B)_x.
-				blas.Scal(d[x], row)
-				continue
-			}
-			// u_x = d_x·(u_p/d_p + ((AD)'B)_x), fused into one pass.
-			blas.AxpbyTo(row, d[x]/d[p], c.Row(int(p))[lo:hi], d[x], row)
-		}
-	default:
-		panic(kindPanicMsg(m.kind, m.n))
-	}
-}
-
-// updateBranchCols is updateBranch restricted to columns [lo, hi).
-//
-//cbm:hotpath
-func (m *Matrix) updateBranchCols(c *dense.Matrix, branch []int32, lo, hi int) {
-	switch m.kind {
-	case KindA, KindAD:
-		for _, x := range branch {
-			p := m.parent[x]
-			if p < 0 {
-				continue
-			}
-			blas.Add(c.Row(int(p))[lo:hi], c.Row(int(x))[lo:hi])
-		}
-	case KindDAD:
-		d := m.diag
-		for _, x := range branch {
-			p := m.parent[x]
-			row := c.Row(int(x))[lo:hi]
-			if p < 0 {
-				blas.Scal(d[x], row)
-				continue
-			}
-			blas.AxpbyTo(row, d[x]/d[p], c.Row(int(p))[lo:hi], d[x], row)
-		}
-	default:
-		panic(kindPanicMsg(m.kind, m.n))
-	}
-}
-
-// MulVecParallel computes y = M·v with the given thread count: SpMV
-// rows in parallel, then the branch-parallel update.
+// MulVecParallel is MulVec with the given thread count. Per-element
+// operation order does not depend on the thread count, so the result
+// is bitwise identical to MulVec.
 func (m *Matrix) MulVecParallel(v []float32, threads int) []float32 {
 	if len(v) != m.n {
-		panic(fmt.Sprintf("cbm: MulVecParallel shape mismatch: matrix is %dx%d, len(v)=%d", m.n, m.n, len(v)))
+		panic(fmt.Sprintf("cbm: MulVec shape mismatch: matrix is %dx%d, len(v)=%d", m.n, m.n, len(v)))
 	}
 	obs.Inc(obs.CounterMulVecCalls)
-	y := make([]float32, m.n)
-	parallel.ForDynamic(m.n, threads, 128, func(i int) {
-		cols, vals := m.delta.Row(i)
-		var acc float32
-		for k, c := range cols {
-			acc += vals[k] * v[c]
-		}
-		y[i] = acc
-	})
-	update := func(branch []int32) {
-		switch m.kind {
-		case KindA, KindAD:
-			for _, x := range branch {
-				if p := m.parent[x]; p >= 0 {
-					y[x] += y[p]
-				}
-			}
-		case KindDAD:
-			d := m.diag
-			for _, x := range branch {
-				if p := m.parent[x]; p >= 0 {
-					y[x] = d[x] * (y[p]/d[p] + y[x])
-				} else {
-					y[x] *= d[x]
-				}
-			}
-		default:
-			panic(kindPanicMsg(m.kind, m.n))
-		}
-	}
-	if threads == 1 || len(m.branches) == 1 {
-		for _, b := range m.branches {
-			update(b)
-		}
-		return y
-	}
-	parallel.ForDynamic(len(m.branches), threads, 1, func(bi int) {
-		update(m.branches[bi])
-	})
-	return y
+	y := dense.New(m.n, 1)
+	m.mulTwoStage(y, &dense.Matrix{Rows: m.n, Cols: 1, Data: v}, threads, obs.Global)
+	return y.Data
 }

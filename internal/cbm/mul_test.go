@@ -198,58 +198,37 @@ func TestScaledVariantPanics(t *testing.T) {
 	}()
 }
 
-func TestColumnBlockStrategyMatchesBranch(t *testing.T) {
-	rng := xrand.New(7)
-	a := synth.SBMGroups(300, 30, 0.85, 0.4, 3)
-	base, _, err := Compress(a, Options{Alpha: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := randomDiag(rng, a.Rows)
-	b := randomDense(rng, a.Rows, 50)
-	for name, m := range map[string]*Matrix{
-		"A":   base,
-		"DAD": base.WithSymmetricScale(d),
-	} {
-		want := dense.New(a.Rows, b.Cols)
-		m.MulTo(want, b, 4)
-		for _, blk := range []int{0, 1, 7, 16, 100} {
-			got := dense.New(a.Rows, b.Cols)
-			m.MulToStrategy(got, b, 4, StrategyBranchColumn, blk)
-			if diff := dense.MaxRelDiff(want, got, 1); diff > 1e-6 {
-				t.Fatalf("%s block=%d: rel diff %v", name, blk, diff)
-			}
-		}
-	}
-}
-
-// StrategyBranchColumn must reproduce StrategyBranch exactly for every
-// kind: both perform the same per-element float operations in the same
-// order, so the results are bitwise equal regardless of how the
-// (branch, column-block) tasks are scheduled.
+// Neither plan's per-element operation order depends on the thread
+// count: the two-stage delta SpMM computes each output row alone and
+// the update walks each branch in pre-order on one worker; the CSR plan
+// sums each row in stored column order. Each plan's output must
+// therefore be bitwise equal to its own single-threaded run for every
+// kind, thread count and column width.
 func TestStrategyEquivalenceAllKinds(t *testing.T) {
-	rng := xrand.New(73)
-	a := synth.SBMGroups(240, 24, 0.85, 0.4, 29)
+	rng := xrand.New(83)
+	a := synth.SBMGroups(260, 26, 0.85, 0.4, 37)
 	base, _, err := Compress(a, Options{Alpha: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := randomDiag(rng, a.Rows)
-	b := randomDense(rng, a.Rows, 33)
 	for name, m := range map[string]*Matrix{
 		"A":   base,
 		"AD":  base.WithColumnScale(d),
 		"DAD": base.WithSymmetricScale(d),
 	} {
-		want := dense.New(a.Rows, b.Cols)
-		m.MulToStrategy(want, b, 1, StrategyBranch, 0)
-		for _, threads := range []int{1, 2, 8} {
-			for _, blk := range []int{1, 7, 64, b.Cols + 1} {
-				got := dense.New(a.Rows, b.Cols)
-				m.MulToStrategy(got, b, threads, StrategyBranchColumn, blk)
-				if !got.Equal(want) {
-					t.Fatalf("%s threads=%d colBlock=%d: not bitwise equal to StrategyBranch",
-						name, threads, blk)
+		for _, cols := range []int{1, 8, 33, 255, 256, 259} {
+			b := randomDense(rng, a.Rows, cols)
+			for _, plan := range []UpdateStrategy{StrategyBranch, StrategyCSR} {
+				want := dense.New(a.Rows, cols)
+				m.MulToStrategy(want, b, 1, plan)
+				for _, threads := range []int{2, 4, 8} {
+					got := dense.New(a.Rows, cols)
+					m.MulToStrategy(got, b, threads, plan)
+					if !got.Equal(want) {
+						t.Fatalf("%s %v threads=%d cols=%d: not bitwise equal to threads=1",
+							name, plan, threads, cols)
+					}
 				}
 			}
 		}
@@ -284,7 +263,7 @@ func TestMulToStrategyShapePanicMessage(t *testing.T) {
 					t.Fatalf("panic = %v, want %q", r, c.want)
 				}
 			}()
-			m.MulToStrategy(c.c, c.b, 1, StrategyBranchColumn, 0)
+			m.MulToStrategy(c.c, c.b, 1, StrategyBranch)
 		})
 	}
 }

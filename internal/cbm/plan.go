@@ -1,169 +1,28 @@
 // Plan selection for MulTo. Every auto-dispatched multiply routes
-// through PlanFor: cheap features extracted from the matrix and call
-// shape, scored by the calibrated decision tree committed in
-// internal/costmodel/model_default.go. The legacy fusedProfitable
-// heuristic — whose "threads=1 must always fuse" and balance claims the
-// v3/v4 benches refuted on every dataset — stays reachable behind
-// PlanModeHeuristic as the A/B escape hatch, selectable per process via
-// the CBM_PLAN environment variable or SetPlanMode.
+// through PlanFor, which applies one rule: when compression bought
+// almost nothing (nnz(A)/nnz(A') below csrRatioMax) the tree update is
+// pure overhead and the raw diag-scaled CSR product runs instead;
+// otherwise the paper's two-stage CBM pipeline runs. DESIGN.md records
+// the calibration sweep behind the threshold.
 
 package cbm
 
-import (
-	"fmt"
-	"os"
-	"sync/atomic"
+// csrRatioMax is the compression ratio nnz(A)/nnz(A') below which MulTo
+// runs the CSR plan. Every registry graph lies at 1.00 or at ≥ 1.45, so
+// any value in (1.0, 1.45) gives the same choices; 1.2 sits between.
+const csrRatioMax = 1.2
 
-	"repro/internal/costmodel"
-	"repro/internal/parallel"
-)
-
-// PlanMode selects how MulTo picks its execution plan.
-type PlanMode int32
-
-const (
-	// PlanModeAuto routes through the calibrated selector (default).
-	PlanModeAuto PlanMode = iota
-	// PlanModeHeuristic restores the legacy fusedProfitable heuristic —
-	// the pre-calibration behaviour, kept for A/B comparison.
-	PlanModeHeuristic
-	// PlanModeTwoStage forces the two-stage plan.
-	PlanModeTwoStage
-	// PlanModeFused forces the fused plan.
-	PlanModeFused
-	// PlanModeCSR forces the CSR plan where available (matrices without
-	// a source CSR fall back to two-stage).
-	PlanModeCSR
-)
-
-var planModeNames = map[PlanMode]string{
-	PlanModeAuto:      "auto",
-	PlanModeHeuristic: "heuristic",
-	PlanModeTwoStage:  "two-stage",
-	PlanModeFused:     "fused",
-	PlanModeCSR:       "csr",
-}
-
-func (pm PlanMode) String() string {
-	if s, ok := planModeNames[pm]; ok {
-		return s
-	}
-	return fmt.Sprintf("PlanMode(%d)", int32(pm))
-}
-
-// ParsePlanMode parses a PlanMode name as accepted by CBM_PLAN and the
-// CLI -plan flags.
-func ParsePlanMode(s string) (PlanMode, error) {
-	for pm, name := range planModeNames {
-		if name == s {
-			return pm, nil
-		}
-	}
-	return 0, fmt.Errorf("cbm: unknown plan mode %q (want auto, heuristic, two-stage, fused or csr)", s)
-}
-
-// planMode is the process-wide mode, atomic so tests and servers can
-// flip it while multiplies are in flight.
-var planMode atomic.Int32
-
-func init() {
-	if v := os.Getenv("CBM_PLAN"); v != "" {
-		pm, err := ParsePlanMode(v)
-		if err != nil {
-			panic(err) // a typo'd CBM_PLAN silently ignored would un-A/B the A/B
-		}
-		planMode.Store(int32(pm))
-	}
-}
-
-// SetPlanMode sets the process-wide plan mode and returns the previous
-// one (restore it in tests with defer).
-func SetPlanMode(pm PlanMode) PlanMode {
-	return PlanMode(planMode.Swap(int32(pm)))
-}
-
-// CurrentPlanMode returns the process-wide plan mode.
-func CurrentPlanMode() PlanMode { return PlanMode(planMode.Load()) }
-
-// planFeatures extracts the selector's feature vector for one multiply
-// call. It is a fixed-size value computed from precomputed schedule
-// fields — no allocation, a handful of divisions — so running it on
-// every MulTo is free relative to the multiply itself. Forged test
-// matrices that skipped initSchedule have zero totals; every division
-// is guarded so they degrade to zero features (→ the reference plan)
-// rather than NaN.
+// PlanFor returns the execution plan MulTo picks for this matrix. The
+// choice is deterministic, so callers can force the same plan through
+// MulToStrategy and get bitwise-identical results to the auto
+// dispatch. Neither the thread count nor the operand width enters the
+// rule. Decoded artifacts carry no source matrix, so they always run
+// two-stage.
 //
 //cbm:hotpath
-func (m *Matrix) planFeatures(threads, cols int) costmodel.Features {
-	var f costmodel.Features
-	f[costmodel.FeatThreads] = float64(threads)
-	if threads > 0 {
-		f[costmodel.FeatBranchesPerThread] = float64(len(m.branches)) / float64(threads)
-	}
-	if m.totalCost > 0 {
-		f[costmodel.FeatImbalance] = float64(m.maxCost) * float64(threads) / float64(m.totalCost)
-	}
-	if m.deltaNNZ > 0 {
-		f[costmodel.FeatCompressionRatio] = float64(m.srcNNZ) / float64(m.deltaNNZ)
-		f[costmodel.FeatRowSpread] = float64(m.deltaRowMax) * float64(m.n) / float64(m.deltaNNZ)
-	}
-	if m.n > 0 {
-		f[costmodel.FeatAvgDeltaRowNNZ] = float64(m.deltaNNZ) / float64(m.n)
-	}
-	f[costmodel.FeatCols] = float64(cols)
-	return f
-}
-
-// PlanFeatures returns the selector's feature vector for a multiply at
-// the given thread count and operand width — exactly what PlanFor
-// scores. Exported for the calibration runner, so the committed report
-// records the same vector the selector will see at dispatch time.
-func (m *Matrix) PlanFeatures(threads, cols int) costmodel.Features {
-	return m.planFeatures(parallel.EffectiveThreads(threads, m.n), cols)
-}
-
-// PlanFor returns the execution plan MulTo would pick for this matrix
-// at the given thread count and operand width. The choice is
-// deterministic, so callers can force the same plan through
-// MulToStrategy and get bitwise-identical results to the auto dispatch.
 func (m *Matrix) PlanFor(threads, cols int) UpdateStrategy {
-	return m.planFor(parallel.EffectiveThreads(threads, m.n), cols)
-}
-
-// planFor is PlanFor after thread normalization (MulTo already holds
-// the effective count).
-//
-//cbm:hotpath
-func (m *Matrix) planFor(threads, cols int) UpdateStrategy {
-	switch PlanMode(planMode.Load()) {
-	case PlanModeHeuristic:
-		if m.fusedProfitable(threads) {
-			return StrategyFused
-		}
-		return StrategyBranch
-	case PlanModeTwoStage:
-		return StrategyBranch
-	case PlanModeFused:
-		return StrategyFused
-	case PlanModeCSR:
-		if m.src != nil {
-			return StrategyCSR
-		}
-		return StrategyBranch
-	}
-	switch costmodel.DefaultModel.Select(m.planFeatures(threads, cols)) {
-	case costmodel.PlanFused:
-		return StrategyFused
-	case costmodel.PlanCSR:
-		if m.src != nil {
-			return StrategyCSR
-		}
-		// Decoded artifact: the CSR source is gone, so fall back to the
-		// better CBM plan by the legacy balance test.
-		if m.fusedProfitable(threads) {
-			return StrategyFused
-		}
-		return StrategyBranch
+	if m.src != nil && float64(m.src.NNZ())/float64(m.delta.NNZ()) < csrRatioMax {
+		return StrategyCSR
 	}
 	return StrategyBranch
 }

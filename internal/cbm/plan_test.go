@@ -1,83 +1,17 @@
 package cbm
 
 import (
-	"bytes"
 	"math"
-	"os"
-	"os/exec"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/dense"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 	"repro/internal/xrand"
 )
-
-func TestPlanModeParseRoundTrip(t *testing.T) {
-	for _, pm := range []PlanMode{PlanModeAuto, PlanModeHeuristic, PlanModeTwoStage, PlanModeFused, PlanModeCSR} {
-		got, err := ParsePlanMode(pm.String())
-		if err != nil || got != pm {
-			t.Fatalf("ParsePlanMode(%q) = %v, %v", pm.String(), got, err)
-		}
-	}
-	if _, err := ParsePlanMode("mkl"); err == nil {
-		t.Fatal("unknown plan mode must error")
-	}
-}
-
-// CBM_PLAN is read once at process init; verify through a subprocess.
-func TestPlanModeEnvOverride(t *testing.T) {
-	if os.Getenv("CBM_PLAN_TEST_HELPER") == "1" {
-		if CurrentPlanMode() != PlanModeFused {
-			t.Fatalf("CBM_PLAN=fused not honoured: mode=%v", CurrentPlanMode())
-		}
-		return
-	}
-	cmd := exec.Command(os.Args[0], "-test.run", "TestPlanModeEnvOverride")
-	cmd.Env = append(os.Environ(), "CBM_PLAN_TEST_HELPER=1", "CBM_PLAN=fused")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("subprocess failed: %v\n%s", err, out)
-	}
-}
-
-func TestSetPlanModeForcesPlans(t *testing.T) {
-	a := synth.HolmeKim(300, 3, 0.3, 11)
-	m, _, err := Compress(a, Options{Alpha: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer SetPlanMode(SetPlanMode(PlanModeAuto))
-	cases := []struct {
-		mode PlanMode
-		want UpdateStrategy
-	}{
-		{PlanModeTwoStage, StrategyBranch},
-		{PlanModeFused, StrategyFused},
-		{PlanModeCSR, StrategyCSR},
-	}
-	for _, tc := range cases {
-		SetPlanMode(tc.mode)
-		for _, threads := range []int{1, 4} {
-			if got := m.PlanFor(threads, 32); got != tc.want {
-				t.Fatalf("mode=%v threads=%d: PlanFor=%v, want %v", tc.mode, threads, got, tc.want)
-			}
-		}
-	}
-	// The heuristic mode reproduces fusedProfitable's decision exactly.
-	SetPlanMode(PlanModeHeuristic)
-	for _, threads := range []int{1, 2, 4, 8} {
-		want := StrategyBranch
-		if m.fusedProfitable(threads) {
-			want = StrategyFused
-		}
-		if got := m.PlanFor(threads, 32); got != want {
-			t.Fatalf("heuristic threads=%d: PlanFor=%v, want %v", threads, got, want)
-		}
-	}
-}
 
 func TestPlanForDeterministic(t *testing.T) {
 	a := synth.SBMGroups(300, 20, 0.8, 0.4, 23)
@@ -93,31 +27,6 @@ func TestPlanForDeterministic(t *testing.T) {
 					t.Fatalf("PlanFor(%d, %d) flapped: %v then %v", threads, cols, first, got)
 				}
 			}
-		}
-	}
-}
-
-func TestPlanFeaturesFiniteAndGuarded(t *testing.T) {
-	a := synth.HolmeKim(200, 3, 0.3, 31)
-	m, _, err := Compress(a, Options{Alpha: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := m.planFeatures(4, 32)
-	for i, v := range f {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("feature %d is %v", i, v)
-		}
-	}
-	if f[0] != 4 || f[len(f)-1] != 32 {
-		t.Fatalf("threads/cols features wrong: %v", f)
-	}
-	// A forged matrix that skipped initSchedule (zero totals) must
-	// degrade to zero features, not NaN, and still dispatch.
-	forged := &Matrix{n: 0}
-	for i, v := range forged.planFeatures(2, 8) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("forged feature %d is %v", i, v)
 		}
 	}
 }
@@ -144,9 +53,9 @@ func TestCSRPlanMatchesReference(t *testing.T) {
 		"DAD": base.WithSymmetricScale(d),
 	} {
 		want := dense.New(a.Rows, b.Cols)
-		m.MulToStrategy(want, b, 1, StrategyBranch, 0)
+		m.MulToStrategy(want, b, 1, StrategyBranch)
 		csr1 := dense.New(a.Rows, b.Cols)
-		m.MulToStrategy(csr1, b, 1, StrategyCSR, 0)
+		m.MulToStrategy(csr1, b, 1, StrategyCSR)
 		for i := range want.Data {
 			w, g := float64(want.Data[i]), float64(csr1.Data[i])
 			if diff := math.Abs(w - g); diff > 1e-5+1e-4*math.Abs(w) {
@@ -155,7 +64,7 @@ func TestCSRPlanMatchesReference(t *testing.T) {
 		}
 		for _, threads := range []int{2, 4, 8} {
 			csrT := dense.New(a.Rows, b.Cols)
-			m.MulToStrategy(csrT, b, threads, StrategyCSR, 0)
+			m.MulToStrategy(csrT, b, threads, StrategyCSR)
 			if !csrT.Equal(csr1) {
 				t.Fatalf("%s: csr plan not thread-deterministic at %d threads", name, threads)
 			}
@@ -163,108 +72,48 @@ func TestCSRPlanMatchesReference(t *testing.T) {
 	}
 }
 
-// Decoded artifacts drop the source CSR, so the CSR plan must become
-// unavailable and every dispatch must fall back to a CBM plan that is
-// still bitwise correct.
-func TestDecodedMatrixCSRFallback(t *testing.T) {
-	rng := xrand.New(47)
-	a := synth.HolmeKim(300, 3, 0.3, 67)
-	m, _, err := Compress(a, Options{Alpha: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.HasCSRPlan() {
-		t.Fatal("decoded matrix claims a CSR plan")
-	}
-	defer SetPlanMode(SetPlanMode(PlanModeAuto))
-	SetPlanMode(PlanModeCSR)
-	if got := dec.PlanFor(4, 32); got == StrategyCSR {
-		t.Fatal("forced CSR on a decoded matrix must fall back, not pick StrategyCSR")
-	}
-	SetPlanMode(PlanModeAuto)
-	b := randomDense(rng, a.Rows, 16)
-	want := dense.New(a.Rows, b.Cols)
-	m.MulToStrategy(want, b, 1, StrategyBranch, 0)
-	got := dense.New(a.Rows, b.Cols)
-	dec.MulTo(got, b, 4)
-	if !got.Equal(want) {
-		t.Fatal("decoded matrix auto dispatch not bitwise equal to two-stage reference")
-	}
-	// The reconstructed feature inputs must match the original's (the
-	// decoded matrix sees the same selector inputs minus the source).
-	if dec.srcNNZ != m.srcNNZ || dec.deltaNNZ != m.deltaNNZ || dec.deltaRowMax != m.deltaRowMax {
-		t.Fatalf("decoded schedule stats diverge: src %d vs %d, delta %d vs %d, rowmax %d vs %d",
-			dec.srcNNZ, m.srcNNZ, dec.deltaNNZ, m.deltaNNZ, dec.deltaRowMax, m.deltaRowMax)
-	}
-}
-
-// srcNNZ is reconstructed from delta signs; it must equal the true nnz
-// of the source matrix.
-func TestSrcNNZReconstruction(t *testing.T) {
-	for _, seed := range []uint64{3, 13, 29} {
-		a := synth.SBMGroups(250, 10, 0.7, 0.3, seed)
-		m, _, err := Compress(a, Options{Alpha: int(seed % 5)})
+// The plan rule on the registry at mini scale and each graph's
+// parallel α: cora and pubmed compress to ratio 1.00 and run the CSR
+// plan, every other graph compresses by ≥ 1.45× and runs two-stage.
+// The rule ignores the thread count and the operand width.
+func TestPlanRuleOnRegistry(t *testing.T) {
+	wantCSR := map[string]bool{"cora-mini": true, "pubmed-mini": true}
+	for _, d := range bench.MiniRegistry(4) {
+		m, _, err := Compress(d.Generate(1), Options{Alpha: d.Paper.BestAlphaPar})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.srcNNZ != int64(a.NNZ()) {
-			t.Fatalf("seed %d: srcNNZ=%d, want %d", seed, m.srcNNZ, a.NNZ())
+		want := StrategyBranch
+		if wantCSR[d.Name] {
+			want = StrategyCSR
+		}
+		ratio := float64(m.src.NNZ()) / float64(m.delta.NNZ())
+		for _, threads := range []int{1, 2, 8} {
+			for _, cols := range []int{1, 32, 500} {
+				if got := m.PlanFor(threads, cols); got != want {
+					t.Fatalf("%s (ratio %.2f) threads=%d cols=%d: PlanFor=%v, want %v",
+						d.Name, ratio, threads, cols, got, want)
+				}
+			}
 		}
 	}
-}
-
-// Satellite 1 — the regression that motivated this PR. The old
-// heuristic asserted "threads=1 must always fuse"; the benches showed
-// fused losing at one thread on every dataset. This test does not pin
-// either outcome — it pins CONSISTENCY: whatever a paired measurement
-// says on this machine, the selector must not contradict it by a
-// >15% margin in either direction.
-func TestSingleThreadPlanMatchesMeasurement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-based")
-	}
-	rng := xrand.New(83)
-	a := synth.HolmeKim(1500, 4, 0.25, 97)
-	m, _, err := Compress(a, Options{Alpha: 4})
+	// An empty matrix has no ratio (0/0); it runs two-stage.
+	empty, _, err := Compress(sparse.NewCSR(0, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := randomDense(rng, a.Rows, 32)
-	c := dense.New(a.Rows, b.Cols)
-	fused, two := bench.MeasurePaired(7, 2,
-		func() { m.MulToStrategy(c, b, 1, StrategyFused, 0) },
-		func() { m.MulToStrategy(c, b, 1, StrategyBranch, 0) })
-	plan := m.PlanFor(1, b.Cols)
-	const margin = 1.15
-	if fused.Seconds() > margin*two.Seconds() && plan == StrategyFused {
-		t.Fatalf("selector picks fused at threads=1 but measurement says fused %.3gs vs two-stage %.3gs (>%.0f%% slower)",
-			fused.Seconds(), two.Seconds(), (margin-1)*100)
-	}
-	if two.Seconds() > margin*fused.Seconds() && plan == StrategyBranch {
-		t.Fatalf("selector picks two-stage at threads=1 but measurement says two-stage %.3gs vs fused %.3gs (>%.0f%% slower)",
-			two.Seconds(), fused.Seconds(), (margin-1)*100)
+	if got := empty.PlanFor(1, 8); got != StrategyBranch {
+		t.Fatalf("empty matrix: PlanFor=%v, want %v", got, StrategyBranch)
 	}
 }
 
-// Satellite 2 — AutoTune's per-stage split must be scoped to its own
-// measurement. A background goroutine hammering fused multiplies on an
-// unrelated matrix (recording into the GLOBAL obs totals) must not
-// inflate the frontier's stage seconds; with the old global-delta
-// attribution the background spans land in the split and the summed
-// stages blow past the measured wall time.
+// AutoTune's per-stage split must be scoped to its own measurement. A
+// background goroutine hammering two-stage multiplies on an unrelated
+// matrix (recording update spans into the GLOBAL obs totals) must not
+// leak into the frontier: the tuned graph barely compresses, so its own
+// plan is CSR and records no update span at all.
 func TestAutoTuneScopedStagesUnderConcurrency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-based")
-	}
-	a := synth.SBMGroups(600, 30, 0.8, 0.4, 101)
+	a := synth.ErdosRenyi(600, 6, 101)
 	builder, err := NewBuilder(a, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +133,7 @@ func TestAutoTuneScopedStagesUnderConcurrency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			nm.MulToStrategy(nc, nb, 1, StrategyFused, 0)
+			nm.MulToStrategy(nc, nb, 1, StrategyBranch)
 		}
 	}()
 	_, _, frontier, err := AutoTune(builder, []int{0, 4}, 32, 3, 1, 109)
@@ -294,17 +143,15 @@ func TestAutoTuneScopedStagesUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, res := range frontier {
-		// The background goroutine records ONLY fused spans (into the
-		// global totals). If this α's own plan never ran the fused
-		// kernel, its scoped split must show (near-)zero fused time;
-		// the old global-delta attribution reports the background
-		// goroutine's seconds here instead.
-		if res.Plan != StrategyFused.String() && res.FusedSeconds > 1e-4 {
-			t.Fatalf("alpha=%d plan=%s: fused stage shows %.4gs — background goroutine's spans leaked into the scoped split",
-				res.Alpha, res.Plan, res.FusedSeconds)
+		if res.Plan != StrategyCSR.String() {
+			t.Fatalf("alpha=%d: plan %q, want the CSR plan on an incompressible graph", res.Alpha, res.Plan)
 		}
-		if res.Plan == "" {
-			t.Fatalf("alpha=%d: frontier entry missing the selected plan", res.Alpha)
+		if res.UpdateSeconds != 0 {
+			t.Fatalf("alpha=%d: update stage shows %.4gs — background goroutine's spans leaked into the scoped split",
+				res.Alpha, res.UpdateSeconds)
+		}
+		if res.SpMMSeconds <= 0 {
+			t.Fatalf("alpha=%d: the scoped recorder saw no spmm span", res.Alpha)
 		}
 	}
 }

@@ -91,9 +91,7 @@ func TestUnknownKindPanics(t *testing.T) {
 		call func(m *Matrix)
 	}{
 		{"MulTo", func(m *Matrix) { m.MulTo(dense.New(n, 4), b, 1) }},
-		{"MulToStrategy", func(m *Matrix) {
-			m.MulToStrategy(dense.New(n, 4), b, 1, StrategyBranchColumn, 2)
-		}},
+		{"MulToStrategy", func(m *Matrix) { m.MulToStrategy(dense.New(n, 4), b, 1, StrategyBranch) }},
 		{"MulVec", func(m *Matrix) { m.MulVec(v) }},
 		{"MulVecParallel", func(m *Matrix) { m.MulVecParallel(v, 1) }},
 	} {

@@ -1,12 +1,9 @@
-// Package costmodel provides the plan-selection layer of the CBM
-// multiplication pipeline: a machine-independent work/span model (the
-// Fig. 2 modeled speedups), cheap per-matrix features, a small
-// decision-tree model fit offline from measured calibration sweeps
-// (see CALIBRATION.json and cmd/calibrate), and the calibration report
-// schema itself. The package deliberately knows nothing about the cbm
-// package — matrices describe themselves through MatrixShape and
-// Features — so cbm.MulTo can route every call through the fitted
-// selector without an import cycle.
+// Package costmodel is the machine-independent work/span model of the
+// CBM multiplication pipeline: scalar operation counts for CSR and CBM
+// and the modeled parallel speedups behind Fig. 2 and the scaling
+// experiment. The package knows nothing about the cbm package —
+// matrices describe themselves through MatrixShape — so cbm can hand
+// out its shape without an import cycle.
 package costmodel
 
 import (
@@ -16,8 +13,7 @@ import (
 )
 
 // MatrixShape is the structural summary of a CBM matrix the work/span
-// model consumes — what used to be read straight off *cbm.Matrix
-// before MulTo started importing this package.
+// model consumes (cbm.Matrix.Shape).
 type MatrixShape struct {
 	// Rows is the matrix dimension n (CBM matrices are square).
 	Rows int

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -42,8 +43,11 @@ import (
 // v7 added the ordering strategy name to the reorder block and the
 // sharded block (shard: per shard count, the paired
 // sharded-vs-unsharded CBM MulTo timings plus the partition's halo
-// nonzero total and nnz imbalance).
-const BenchSchema = "cbm-bench/v7"
+// nonzero total and nnz imbalance); v8 dropped the fused plan
+// (cbm_fused, fused_speedup, fused_s) and selector_speedup with the
+// plan space they measured, and added the machine record (nproc,
+// gomaxprocs) next to threads, which is clamped to nproc.
+const BenchSchema = "cbm-bench/v8"
 
 // BenchTiming is bench.Timing flattened to seconds for JSON.
 type BenchTiming struct {
@@ -57,23 +61,20 @@ func toBenchTiming(t bench.Timing) BenchTiming {
 }
 
 // BenchStageSplit attributes the mean CBM multiplication time to the
-// two pipeline stages of Sec. V-A (zero when obs is disabled).
-// SpMMSeconds/UpdateSeconds come from the forced two-stage run;
-// FusedSeconds is the span of the forced fused single-pass run. Each
-// forced plan runs under its own scoped obs.Recorder, so concurrent
-// activity elsewhere in the process cannot leak into the split.
+// two pipeline stages of Sec. V-A (zero when obs is disabled), from
+// the forced two-stage run under its own scoped obs.Recorder, so
+// concurrent activity elsewhere in the process cannot leak into the
+// split.
 type BenchStageSplit struct {
 	SpMMSeconds   float64 `json:"spmm_s"`
 	UpdateSeconds float64 `json:"update_s"`
-	FusedSeconds  float64 `json:"fused_s"`
 	// SpMMFraction is spmm/(spmm+update), the headline split number.
 	SpMMFraction float64 `json:"spmm_frac"`
 }
 
 // BenchDataset is one dataset's row of the benchmark report. CBMMul is
-// the production entry point (MulTo, cost-model plan selection);
-// CBMTwoStage and CBMFused force the respective plans so the report
-// isolates what the fusion itself buys.
+// the production entry point (MulTo, compression-ratio plan rule);
+// CBMTwoStage and CBMCSRPlan force the two plans it chooses between.
 type BenchDataset struct {
 	Name             string      `json:"name"`
 	Nodes            int         `json:"nodes"`
@@ -84,23 +85,16 @@ type BenchDataset struct {
 	CSRSpMM          BenchTiming `json:"csr_spmm"`
 	CBMMul           BenchTiming `json:"cbm_mul"`
 	CBMTwoStage      BenchTiming `json:"cbm_two_stage"`
-	CBMFused         BenchTiming `json:"cbm_fused"`
 	// CBMCSRPlan is the forced StrategyCSR plan — the represented matrix
 	// multiplied directly through the diag-scaled CSR kernel, skipping
 	// the compression tree (v5).
 	CBMCSRPlan BenchTiming `json:"cbm_csr_plan"`
-	// Speedup is CSR SpMM over CBM MulTo; FusedSpeedup is the forced
-	// two-stage plan over the forced fused plan (> 1 means fusion wins).
-	Speedup      float64 `json:"speedup"`
-	FusedSpeedup float64 `json:"fused_speedup"`
-	// ChosenPlan is the plan the calibrated selector picks for this
-	// configuration (cbm.UpdateStrategy string); SelectorSpeedup is the
-	// two-stage reference mean over the chosen plan's measured mean
-	// (> 1 means the selector beat the reference, 1.0 means it chose
-	// the reference itself).
-	ChosenPlan      string          `json:"chosen_plan"`
-	SelectorSpeedup float64         `json:"selector_speedup"`
-	Stages          BenchStageSplit `json:"stage_split"`
+	// Speedup is CSR SpMM over CBM MulTo.
+	Speedup float64 `json:"speedup"`
+	// ChosenPlan is the plan MulTo picks for this matrix
+	// (cbm.UpdateStrategy string).
+	ChosenPlan string          `json:"chosen_plan"`
+	Stages     BenchStageSplit `json:"stage_split"`
 	// Reordered marks that the headline numbers above were measured on
 	// the similarity-permuted graph (Config.Reorder); Reorder is the
 	// always-measured reordering block (v6).
@@ -184,35 +178,47 @@ type BenchInference struct {
 	MeanBatchCols  float64      `json:"mean_batch_cols"`
 }
 
-// BenchReport is the top-level BENCH_cbm.json document.
+// BenchReport is the top-level BENCH_cbm.json document. Threads is the
+// worker count every kernel measurement ran at, never above NProc (the
+// cores present); GOMAXPROCS records the Go scheduler's limit.
 type BenchReport struct {
-	Schema   string         `json:"schema"`
-	Seed     uint64         `json:"seed"`
-	Threads  int            `json:"threads"`
-	Cols     int            `json:"cols"`
-	Reps     int            `json:"reps"`
-	Warmup   int            `json:"warmup"`
-	Datasets []BenchDataset `json:"datasets"`
+	Schema     string         `json:"schema"`
+	Seed       uint64         `json:"seed"`
+	NProc      int            `json:"nproc"`
+	GOMAXPROCS int            `json:"gomaxprocs"`
+	Threads    int            `json:"threads"`
+	Cols       int            `json:"cols"`
+	Reps       int            `json:"reps"`
+	Warmup     int            `json:"warmup"`
+	Datasets   []BenchDataset `json:"datasets"`
 }
 
 // BenchJSON runs the machine-readable benchmark: for each dataset it
 // compresses at the paper's best parallel α, measures CSR SpMM vs. CBM
 // MulTo through bench.Measure (mean ± σ), and attributes the CBM time
 // to the delta-SpMM and tree-update stages via obs span deltas. The
-// result feeds the repository's performance trajectory.
+// thread count is clamped to the cores present: more workers than
+// cores only time the scheduler. The result feeds the repository's
+// performance trajectory.
 func BenchJSON(cfg Config) (*BenchReport, error) {
 	cfg = cfg.Defaults()
+	nproc := runtime.NumCPU()
+	if cfg.Threads > nproc {
+		cfg.Threads = nproc
+	}
 	ds, err := cfg.datasets()
 	if err != nil {
 		return nil, err
 	}
 	report := &BenchReport{
-		Schema:  BenchSchema,
-		Seed:    cfg.Seed,
-		Threads: cfg.Threads,
-		Cols:    cfg.Cols,
-		Reps:    cfg.Reps,
-		Warmup:  cfg.Warmup,
+		Schema:     BenchSchema,
+		Seed:       cfg.Seed,
+		NProc:      nproc,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Threads:    cfg.Threads,
+		Cols:       cfg.Cols,
+		Reps:       cfg.Reps,
+		Warmup:     cfg.Warmup,
 	}
 	rng := xrand.New(cfg.Seed + 5000)
 	for _, d := range ds {
@@ -246,25 +252,22 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 
 		tCSR := bench.Measure(cfg.Reps, cfg.Warmup, func() { kernels.SpMMTo(c, a, b, cfg.Threads) })
 		tCBM := bench.Measure(cfg.Reps, cfg.Warmup, func() { m.MulTo(c, b, cfg.Threads) })
-		// The three forced plans are measured in one interleaved rotation
-		// so machine drift cannot masquerade as a plan difference. Each
-		// plan runs under its own scoped obs.Recorder (the CSR plan also
-		// records StageSpMM, so one shared bracket would conflate it with
-		// the two-stage split).
-		recTwo, recFused := obs.NewRecorder(), obs.NewRecorder()
+		// The two forced plans are measured in one interleaved rotation
+		// so machine drift cannot masquerade as a plan difference. The
+		// two-stage plan runs under its own scoped obs.Recorder (the CSR
+		// plan also records StageSpMM, so one shared bracket would
+		// conflate it with the two-stage split).
+		recTwo := obs.NewRecorder()
 		ctxTwo := exec.NewWithSink(cfg.Threads, recTwo)
-		ctxFused := exec.NewWithSink(cfg.Threads, recFused)
 		tms := bench.MeasureInterleaved(cfg.Reps, cfg.Warmup,
-			func() { m.MulToStrategyCtx(ctxTwo, c, b, cbm.StrategyBranch, 0) },
-			func() { m.MulToStrategyCtx(ctxFused, c, b, cbm.StrategyFused, 0) },
-			func() { m.MulToStrategy(c, b, cfg.Threads, cbm.StrategyCSR, 0) },
+			func() { m.MulToStrategyCtx(ctxTwo, c, b, cbm.StrategyBranch) },
+			func() { m.MulToStrategy(c, b, cfg.Threads, cbm.StrategyCSR) },
 		)
-		tTwoStage, tFused, tCSRPlan := tms[0], tms[1], tms[2]
+		tTwoStage, tCSRPlan := tms[0], tms[1]
 
 		calls := float64(cfg.Reps + cfg.Warmup)
 		spmmS := recTwo.StageSeconds(obs.StageSpMM) / calls
 		updS := recTwo.StageSeconds(obs.StageUpdate) / calls
-		fusedS := recFused.StageSeconds(obs.StageFused) / calls
 		frac := 0.0
 		if spmmS+updS > 0 {
 			frac = spmmS / (spmmS + updS)
@@ -272,22 +275,6 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 		speedup := math.NaN()
 		if tCBM.Seconds() > 0 {
 			speedup = tCSR.Seconds() / tCBM.Seconds()
-		}
-		fusedSpeedup := math.NaN()
-		if tFused.Seconds() > 0 {
-			fusedSpeedup = tTwoStage.Seconds() / tFused.Seconds()
-		}
-		chosen := m.PlanFor(cfg.Threads, cfg.Cols)
-		chosenMean := tTwoStage.Seconds()
-		switch chosen {
-		case cbm.StrategyFused:
-			chosenMean = tFused.Seconds()
-		case cbm.StrategyCSR:
-			chosenMean = tCSRPlan.Seconds()
-		}
-		selectorSpeedup := math.NaN()
-		if chosenMean > 0 {
-			selectorSpeedup = tTwoStage.Seconds() / chosenMean
 		}
 		inference, err := benchInference(a, opt, cfg, rng)
 		if err != nil {
@@ -307,16 +294,12 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 			CSRSpMM:          toBenchTiming(tCSR),
 			CBMMul:           toBenchTiming(tCBM),
 			CBMTwoStage:      toBenchTiming(tTwoStage),
-			CBMFused:         toBenchTiming(tFused),
 			CBMCSRPlan:       toBenchTiming(tCSRPlan),
 			Speedup:          speedup,
-			FusedSpeedup:     fusedSpeedup,
-			ChosenPlan:       chosen.String(),
-			SelectorSpeedup:  selectorSpeedup,
+			ChosenPlan:       m.PlanFor(cfg.Threads, cfg.Cols).String(),
 			Stages: BenchStageSplit{
 				SpMMSeconds:   spmmS,
 				UpdateSeconds: updS,
-				FusedSeconds:  fusedS,
 				SpMMFraction:  frac,
 			},
 			Reordered: cfg.Reorder,
@@ -409,7 +392,7 @@ func benchShard(a *sparse.CSR, opt cbm.Options, cfg Config, b, c *dense.Matrix) 
 	out := make([]BenchShard, 0, len(cfg.ShardCounts))
 	for _, shards := range cfg.ShardCounts {
 		sb, err := gnn.NewShardedCBMBackend(a,
-			shard.Options{Shards: shards, CBM: opt, ColsHint: cfg.Cols}, cfg.ShardOrder)
+			shard.Options{Shards: shards, CBM: opt}, cfg.ShardOrder)
 		if err != nil {
 			return nil, err
 		}
@@ -617,6 +600,13 @@ func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 	if report.Schema != BenchSchema {
 		return nil, fmt.Errorf("experiments: bench report schema %q, want %q", report.Schema, BenchSchema)
 	}
+	if report.NProc < 1 || report.GOMAXPROCS < 1 {
+		return nil, fmt.Errorf("experiments: bench report lacks the machine record (nproc %d, gomaxprocs %d)",
+			report.NProc, report.GOMAXPROCS)
+	}
+	if report.Threads < 1 || report.Threads > report.NProc {
+		return nil, fmt.Errorf("experiments: bench report ran %d threads on %d cores", report.Threads, report.NProc)
+	}
 	if len(report.Datasets) == 0 {
 		return nil, fmt.Errorf("experiments: bench report has no datasets")
 	}
@@ -625,19 +615,14 @@ func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 			return nil, fmt.Errorf("experiments: bench report entry %+v is incomplete", d)
 		}
 		if d.CBMMul.MeanSeconds <= 0 || d.CSRSpMM.MeanSeconds <= 0 ||
-			d.CBMTwoStage.MeanSeconds <= 0 || d.CBMFused.MeanSeconds <= 0 ||
-			d.CBMCSRPlan.MeanSeconds <= 0 {
+			d.CBMTwoStage.MeanSeconds <= 0 || d.CBMCSRPlan.MeanSeconds <= 0 {
 			return nil, fmt.Errorf("experiments: bench report entry %s has non-positive timings", d.Name)
 		}
 		switch d.ChosenPlan {
-		case cbm.StrategyBranch.String(), cbm.StrategyFused.String(), cbm.StrategyCSR.String():
+		case cbm.StrategyBranch.String(), cbm.StrategyCSR.String():
 		default:
 			return nil, fmt.Errorf("experiments: bench report entry %s has unknown chosen_plan %q",
 				d.Name, d.ChosenPlan)
-		}
-		if !(d.SelectorSpeedup > 0) {
-			return nil, fmt.Errorf("experiments: bench report entry %s has non-positive selector_speedup %v",
-				d.Name, d.SelectorSpeedup)
 		}
 		re := d.Reorder
 		if re.Window <= 0 || re.BuildSeconds < 0 ||
@@ -688,7 +673,7 @@ func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 func WriteBench(w io.Writer, r *BenchReport) {
 	t := &bench.Table{Header: []string{
 		"Graph", "Alpha", "ratio", "CSR SpMM", "CBM Mul", "spd",
-		"2stage", "fused", "csrplan", "fspd", "plan", "sspd",
+		"2stage", "csrplan", "plan",
 		"spmm_s", "update_s", "spmm%",
 	}}
 	for _, d := range r.Datasets {
@@ -699,18 +684,15 @@ func WriteBench(w io.Writer, r *BenchReport) {
 			fmt.Sprintf("%.4f (± %.4f)", d.CBMMul.MeanSeconds, d.CBMMul.StdSeconds),
 			fmt.Sprintf("%.2f", d.Speedup),
 			fmt.Sprintf("%.4f", d.CBMTwoStage.MeanSeconds),
-			fmt.Sprintf("%.4f", d.CBMFused.MeanSeconds),
 			fmt.Sprintf("%.4f", d.CBMCSRPlan.MeanSeconds),
-			fmt.Sprintf("%.2f", d.FusedSpeedup),
 			d.ChosenPlan,
-			fmt.Sprintf("%.2f", d.SelectorSpeedup),
 			fmt.Sprintf("%.4f", d.Stages.SpMMSeconds),
 			fmt.Sprintf("%.4f", d.Stages.UpdateSeconds),
 			fmt.Sprintf("%.0f%%", 100*d.Stages.SpMMFraction),
 		)
 	}
-	fmt.Fprintf(w, "Bench — machine-readable per-dataset timings (threads=%d cols=%d reps=%d)\n",
-		r.Threads, r.Cols, r.Reps)
+	fmt.Fprintf(w, "Bench — machine-readable per-dataset timings (threads=%d nproc=%d gomaxprocs=%d cols=%d reps=%d)\n",
+		r.Threads, r.NProc, r.GOMAXPROCS, r.Cols, r.Reps)
 	fmt.Fprint(w, t.String())
 
 	inf := &bench.Table{Header: []string{

@@ -23,31 +23,25 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 	if d.Name != "cora" || d.Nodes <= 0 || d.Edges <= 0 {
 		t.Fatalf("dataset row incomplete: %+v", d)
 	}
-	if d.CBMMul.MeanSeconds <= 0 || d.CSRSpMM.MeanSeconds <= 0 ||
-		d.CBMTwoStage.MeanSeconds <= 0 || d.CBMFused.MeanSeconds <= 0 {
+	if d.CBMMul.MeanSeconds <= 0 || d.CSRSpMM.MeanSeconds <= 0 || d.CBMTwoStage.MeanSeconds <= 0 {
 		t.Fatalf("non-positive timings: %+v", d)
 	}
 	if d.CBMMul.Reps != 2 {
 		t.Fatalf("reps = %d, want 2", d.CBMMul.Reps)
 	}
-	if d.FusedSpeedup <= 0 {
-		t.Fatalf("fused speedup %v not positive", d.FusedSpeedup)
-	}
 	if d.CBMCSRPlan.MeanSeconds <= 0 {
 		t.Fatalf("csr plan timing not positive: %+v", d.CBMCSRPlan)
 	}
-	switch d.ChosenPlan {
-	case "branch", "fused", "csr":
-	default:
-		t.Fatalf("chosen plan %q is not a selectable strategy", d.ChosenPlan)
+	// cora compresses to ratio 1.00, so MulTo runs the CSR plan.
+	if d.ChosenPlan != "csr" {
+		t.Fatalf("chosen plan %q, want csr on cora", d.ChosenPlan)
 	}
-	if d.SelectorSpeedup <= 0 {
-		t.Fatalf("selector speedup %v not positive", d.SelectorSpeedup)
+	if r.NProc < 1 || r.GOMAXPROCS < 1 || r.Threads > r.NProc {
+		t.Fatalf("machine record: threads=%d nproc=%d gomaxprocs=%d", r.Threads, r.NProc, r.GOMAXPROCS)
 	}
 	// obs is enabled, so the split must attribute real time to both
-	// two-stage stages and to the fused pass, and the fraction must be
-	// a sane ratio.
-	if d.Stages.SpMMSeconds <= 0 || d.Stages.UpdateSeconds <= 0 || d.Stages.FusedSeconds <= 0 {
+	// two-stage stages, and the fraction must be a sane ratio.
+	if d.Stages.SpMMSeconds <= 0 || d.Stages.UpdateSeconds <= 0 {
 		t.Fatalf("stage split empty with obs enabled: %+v", d.Stages)
 	}
 	if d.Stages.SpMMFraction <= 0 || d.Stages.SpMMFraction >= 1 {
@@ -169,79 +163,56 @@ func TestBenchJSONReorderedHeadline(t *testing.T) {
 }
 
 func TestReadBenchReportRejectsBadDocuments(t *testing.T) {
-	// timings is a complete, valid per-plan timing block plus valid
-	// reorder and shard blocks (v7), so each rejection case below trips
+	// Each piece below is valid on its own, so each rejection case trips
 	// exactly the validator it names.
-	const timings = `"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-		`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
-		`"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
-		`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1},` +
-		`"shard":[{"shards":2,"unsharded_mul":{"mean_s":1},"sharded_mul":{"mean_s":1},"speedup":1,"halo_nnz":1}]`
-	for name, doc := range map[string]string{
+	const (
+		machine = `"nproc":2,"gomaxprocs":2,"threads":2`
+		plans   = `"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
+			`"cbm_csr_plan":{"mean_s":1}`
+		reorder = `"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
+			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1}`
+		shard   = `"shard":[{"shards":2,"unsharded_mul":{"mean_s":1},"sharded_mul":{"mean_s":1},"speedup":1,"halo_nnz":1}]`
+		timings = plans + `,"chosen_plan":"branch",` + reorder + `,` + shard
+	)
+	doc := func(header, entry string) string {
+		return `{"schema":"cbm-bench/v8",` + header + `,"datasets":[{"name":"x","nodes":1,` + entry + `}]}`
+	}
+	for name, d := range map[string]string{
 		"wrong schema": `{"schema":"nope/v9","datasets":[{"name":"x","nodes":1}]}`,
 		"stale v1":     `{"schema":"cbm-bench/v1","datasets":[{"name":"x","nodes":1}]}`,
-		"stale v2":     `{"schema":"cbm-bench/v2","datasets":[{"name":"x","nodes":1}]}`,
-		"stale v3":     `{"schema":"cbm-bench/v3","datasets":[{"name":"x","nodes":1}]}`,
-		"stale v4":     `{"schema":"cbm-bench/v4","datasets":[{"name":"x","nodes":1}]}`,
-		"stale v5":     `{"schema":"cbm-bench/v5","datasets":[{"name":"x","nodes":1}]}`,
 		"stale v6":     `{"schema":"cbm-bench/v6","datasets":[{"name":"x","nodes":1}]}`,
-		"no datasets":  `{"schema":"cbm-bench/v7","datasets":[]}`,
+		"stale v7":     `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1}]}`,
+		"no datasets":  `{"schema":"cbm-bench/v8",` + machine + `,"datasets":[]}`,
 		"not json":     `{`,
-		"unknown keys": `{"schema":"cbm-bench/v7","bogus":1,"datasets":[]}`,
-		"no csr plan timing": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},"cbm_fused":{"mean_s":1},` +
-			`"chosen_plan":"fused","selector_speedup":1}]}`,
-		"unknown chosen plan": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"warp","selector_speedup":1}]}`,
-		"missing chosen plan": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"selector_speedup":1}]}`,
-		"non-positive selector speedup": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"csr","selector_speedup":0}]}`,
-		"no reorder block": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1}]}`,
-		"zero-window reorder block": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
-			`"reorder":{"strategy":"minhash","window":0,"buckets":1,"build_s":0,"ratio_exact":1,` +
-			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1}}]}`,
-		"non-positive reordered ratio": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
-			`"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
-			`"ratio_window_raw":1,"ratio_window_reordered":0,"spmm_speedup":1}}]}`,
-		"unknown reorder strategy": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
-			`"reorder":{"strategy":"zcurve","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
-			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1}}]}`,
-		"no shard block": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
-			`"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
-			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1}}]}`,
-		"non-positive sharded timing": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
-			`"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
-			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1},` +
-			`"shard":[{"shards":2,"unsharded_mul":{"mean_s":1},"sharded_mul":{"mean_s":0},"speedup":1}]}]}`,
-		"single-shard halo": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
-			`"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
-			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1},` +
-			`"shard":[{"shards":1,"unsharded_mul":{"mean_s":1},"sharded_mul":{"mean_s":1},"speedup":1,"halo_nnz":3}]}]}`,
-		"no inference": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` + timings + `}]}`,
-		"no batched serving": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` + timings + `,` +
-			`"inference":[{"concurrency":1,` +
-			`"csr":{"requests":1,"mean_s":1,"p99_s":1},"cbm":{"requests":1,"mean_s":1,"p99_s":1},"speedup":1}]}]}`,
+		"unknown keys": `{"schema":"cbm-bench/v8",` + machine + `,"bogus":1,"datasets":[]}`,
+
+		"no machine record":     doc(`"threads":2`, timings),
+		"threads above nproc":   doc(`"nproc":2,"gomaxprocs":2,"threads":4`, timings),
+		"dropped fused timing":  doc(machine, timings+`,"cbm_fused":{"mean_s":1}`),
+		"dropped selector":      doc(machine, timings+`,"selector_speedup":1`),
+		"no csr plan timing":    doc(machine, `"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},"chosen_plan":"branch"`),
+		"fused chosen plan":     doc(machine, plans+`,"chosen_plan":"fused"`),
+		"missing chosen plan":   doc(machine, plans),
+		"no reorder block":      doc(machine, plans+`,"chosen_plan":"csr"`),
+		"zero-window reorder":   doc(machine, plans+`,"chosen_plan":"csr",`+strings.Replace(reorder, `"window":64`, `"window":0`, 1)),
+		"zero reordered ratio":  doc(machine, plans+`,"chosen_plan":"csr",`+strings.Replace(reorder, `"ratio_window_reordered":1`, `"ratio_window_reordered":0`, 1)),
+		"unknown reorder order": doc(machine, plans+`,"chosen_plan":"csr",`+strings.Replace(reorder, "minhash", "zcurve", 1)),
+		"no shard block":        doc(machine, plans+`,"chosen_plan":"csr",`+reorder),
+		"zero sharded timing":   doc(machine, plans+`,"chosen_plan":"csr",`+reorder+`,`+strings.Replace(shard, `"sharded_mul":{"mean_s":1}`, `"sharded_mul":{"mean_s":0}`, 1)),
+		"single-shard halo":     doc(machine, plans+`,"chosen_plan":"csr",`+reorder+`,`+strings.Replace(shard, `"shards":2`, `"shards":1`, 1)),
+		"no inference":          doc(machine, timings),
+		"no batched serving": doc(machine, timings+`,"inference":[{"concurrency":1,`+
+			`"csr":{"requests":1,"mean_s":1,"p99_s":1},"cbm":{"requests":1,"mean_s":1,"p99_s":1},"speedup":1}]`),
 	} {
-		if _, err := ReadBenchReport(strings.NewReader(doc)); err == nil {
+		if _, err := ReadBenchReport(strings.NewReader(d)); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
+	}
+	// The complete document the cases above break is itself accepted.
+	valid := doc(machine, timings+`,"inference":[{"concurrency":1,`+
+		`"csr":{"requests":1,"mean_s":1,"p99_s":1},"cbm":{"requests":1,"mean_s":1,"p99_s":1},"speedup":1,`+
+		`"cbm_batched":{"requests":1,"mean_s":1,"p99_s":1},"batched_speedup":1,"mean_batch_cols":1}]`)
+	if _, err := ReadBenchReport(strings.NewReader(valid)); err != nil {
+		t.Fatalf("valid document rejected: %v", err)
 	}
 }

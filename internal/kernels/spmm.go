@@ -42,7 +42,7 @@ func SpMMTo(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, threads int) {
 }
 
 // SpMMToSink is SpMMTo with an explicit observability sink, so callers
-// measuring through an obs.Recorder (AutoTune, the calibration sweeps)
+// measuring through an obs.Recorder (AutoTune, the bench report)
 // get the SpMM stage attributed to exactly their own calls.
 //
 //cbm:hotpath
@@ -104,37 +104,12 @@ func spmmRow(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, i int) {
 	}
 }
 
-// SpMMRowSegment computes one column segment of one output row:
-// dst = (s·b)[i, lo:hi], with dst a caller-provided slice of length
-// hi−lo (typically a view of the output row). It is the building block
-// of the fused CBM kernel, which interleaves per-row delta products
-// with tree updates and tiles wide operands by column; per-element
-// operation order is identical to spmmRow, so tiled and untiled
-// results are bitwise equal.
-//
-//cbm:hotpath
-func SpMMRowSegment(dst []float32, s *sparse.CSR, b *dense.Matrix, i, lo, hi int) {
-	if lo < 0 || hi > b.Cols || len(dst) != hi-lo {
-		panic(fmt.Sprintf("kernels: SpMMRowSegment bad segment [%d,%d) of %d cols into len(dst)=%d", lo, hi, b.Cols, len(dst)))
-	}
-	cols, vals := s.Row(i)
-	blas.Fill(dst, 0)
-	for k, col := range cols {
-		seg := b.Row(int(col))[lo:hi]
-		if v := vals[k]; v == 1 {
-			blas.Add(seg, dst)
-		} else {
-			blas.Axpy(v, seg, dst)
-		}
-	}
-}
-
 // SpMMDiagTo computes c = diag(left)·s·diag(right)·b without ever
 // materializing the scaled sparse matrix: row i accumulates
 // right[j]·s[i,j]·b[j,:] over the row's nonzeros and is then scaled by
 // left[i]. A nil diagonal means identity. This is the memory-free CSR
 // execution plan for the scaled factorizations (AD: right only; DAD:
-// both) — what cbm.StrategyCSR runs when the plan selector decides the
+// both) — what cbm.StrategyCSR runs when the plan rule decides the
 // compression tree does not pay on a graph. Per-row accumulation order
 // is the stored column order and rows are independent, so results are
 // bitwise identical across thread counts.

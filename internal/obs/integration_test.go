@@ -15,8 +15,9 @@ import (
 // TestConcurrentMulToRecordsConsistently drives the real instrumented
 // pipeline from many goroutines at once — the -race half of the obs
 // acceptance criteria. The two-stage plan must record exactly one
-// update span and at least one spmm span per call, the fused plan
-// exactly one fused span per call, with no torn counts.
+// update span and one spmm span per call, the CSR plan one spmm span
+// and no update span, with no torn counts; neither records the fused
+// stage, which no plan emits any more.
 func TestConcurrentMulToRecordsConsistently(t *testing.T) {
 	a := synth.SBMGroups(300, 20, 0.8, 0.3, 7)
 	m, _, err := cbm.Compress(a, cbm.Options{})
@@ -37,7 +38,7 @@ func TestConcurrentMulToRecordsConsistently(t *testing.T) {
 				defer wg.Done()
 				c := dense.New(a.Rows, 8)
 				for i := 0; i < iters; i++ {
-					m.MulToStrategy(c, b, 2, strat, 0)
+					m.MulToStrategy(c, b, 2, strat)
 				}
 			}()
 		}
@@ -60,15 +61,18 @@ func TestConcurrentMulToRecordsConsistently(t *testing.T) {
 	}
 
 	obs.Reset()
-	run(cbm.StrategyFused)
+	run(cbm.StrategyCSR)
 	if v := obs.CounterValue(obs.CounterMulCalls); v != calls {
 		t.Fatalf("mul_calls = %d, want %d", v, calls)
 	}
-	if count, nanos := obs.StageTotals(obs.StageFused); count != calls || nanos <= 0 {
-		t.Fatalf("fused stage count=%d nanos=%d, want count=%d and nanos>0", count, nanos, calls)
+	if count, nanos := obs.StageTotals(obs.StageSpMM); count != calls || nanos <= 0 {
+		t.Fatalf("spmm stage count=%d nanos=%d, want count=%d and nanos>0", count, nanos, calls)
 	}
 	if count, _ := obs.StageTotals(obs.StageUpdate); count != 0 {
-		t.Fatalf("update stage count=%d after fused calls, want 0", count)
+		t.Fatalf("update stage count=%d after csr calls, want 0", count)
+	}
+	if count, _ := obs.StageTotals(obs.StageFused); count != 0 {
+		t.Fatalf("fused stage count=%d after csr calls, want 0", count)
 	}
 }
 

@@ -2,8 +2,8 @@
 // monotone event counters and nanosecond stage timers for the CBM
 // multiplication pipeline. The paper (Sec. V-A) splits C = M·B into a
 // delta-SpMM stage and a tree-update stage; per-kernel profiling of
-// exactly that split is what lets MulToStrategy/AutoTune pick an update
-// strategy on evidence instead of folklore (cf. Qiu et al., "Optimizing
+// exactly that split is what lets AutoTune and the benchmarks attribute
+// a multiply's time on evidence instead of folklore (cf. Qiu et al., "Optimizing
 // Sparse Matrix Multiplications for Graph Neural Networks").
 //
 // Design constraints, in priority order:
@@ -40,9 +40,10 @@ const (
 	// StageUpdate is the CBM compression-tree update traversal
 	// (stage 2 of MulTo and MulToStrategy).
 	StageUpdate
-	// StageFused is the fused single-pass CBM multiply (delta product
-	// and tree update interleaved per branch, no inter-stage barrier);
-	// when it runs, no separate spmm/update spans are recorded.
+	// StageFused named the fused single-pass CBM plan, which was
+	// removed; no code emits it, so it always reads zero. It stays so
+	// consumers keyed on the stage set (and its "fused" name) keep
+	// working.
 	StageFused
 	// StageCandidates is the candidate-graph construction (the AAᵀ
 	// intersection pass of NewBuilder).

@@ -1,7 +1,7 @@
 // Sinks route probe events either to the package-global accumulators
 // or to a caller-owned Recorder. The interface used to live in
 // internal/exec; it moved here so measurement code (cbm.AutoTune, the
-// calibration sweeps) can scope per-stage attribution to its own calls
+// bench report) can scope per-stage attribution to its own calls
 // without importing the execution-context layer. Global totals stay
 // complete either way: a Recorder-tagged span folds its duration into
 // both the process-wide state and the recorder, so scoping never makes

@@ -63,10 +63,12 @@ func CheckTreeReconstruction(a *sparse.CSR, m *cbm.Matrix) error {
 }
 
 // CheckMulVecConsistency verifies the matrix-vector path against the
-// matrix-matrix path: M·v must match M·B for B the single-column matrix
-// holding v, and MulVecParallel must be bitwise identical to MulVec
-// (per-element operation order does not depend on the thread count).
-func CheckMulVecConsistency(m *cbm.Matrix, v []float32, threads int, tol Tolerance) error {
+// matrix-matrix path. MulVec is the two-stage plan on v as an n×1
+// operand, so it must be bitwise identical to MulToStrategy's two-stage
+// plan on the single-column matrix holding v, and MulVecParallel must
+// be bitwise identical to MulVec (per-element operation order does not
+// depend on the thread count).
+func CheckMulVecConsistency(m *cbm.Matrix, v []float32, threads int) error {
 	n := m.Rows()
 	if len(v) != n {
 		panic(fmt.Sprintf("oracle: CheckMulVecConsistency vector length mismatch: len(v)=%d, want %d", len(v), n))
@@ -75,56 +77,44 @@ func CheckMulVecConsistency(m *cbm.Matrix, v []float32, threads int, tol Toleran
 	b := dense.New(n, 1)
 	copy(b.Data, v)
 	c := dense.New(n, 1)
-	m.MulTo(c, b, 1)
-	if d := CompareVec(y, c.Data, tol); d != nil {
-		return fmt.Errorf("MulVec vs single-column MulTo: %w", d)
+	m.MulToStrategy(c, b, 1, cbm.StrategyBranch)
+	if d := CompareVec(y, c.Data, Tolerance{}); d != nil {
+		return fmt.Errorf("MulVec not bitwise equal to single-column two-stage MulTo: %w", d)
 	}
-	par := m.MulVecParallel(v, threads)
-	for i := range y {
-		if par[i] != y[i] {
-			return fmt.Errorf("MulVecParallel(threads=%d) not bitwise equal to MulVec at [%d]: %v vs %v",
-				threads, i, par[i], y[i])
-		}
+	if d := CompareVec(m.MulVecParallel(v, threads), y, Tolerance{}); d != nil {
+		return fmt.Errorf("MulVecParallel(threads=%d) not bitwise equal to MulVec: %w", threads, d)
 	}
 	return nil
 }
 
-// CheckStrategyEquivalence verifies every execution plan against
-// single-threaded StrategyBranch. The CBM-family plans perform the
-// same per-element operations in the same order, so they must match
-// bitwise: StrategyBranchColumn for every (threads, colBlock) pair and
-// StrategyFused for every thread count. StrategyCSR (when available)
-// sums the original matrix's row directly instead of delta+tree, so it
-// is held to the Loose floating-point tolerance — plus a bitwise
+// CheckStrategyEquivalence verifies both execution plans. The two-stage
+// plan's per-element operation order does not depend on the thread
+// count, so it must match its single-threaded run bitwise at every
+// thread count. StrategyCSR (when available) sums the original
+// matrix's row directly instead of delta+tree, so it is held to the
+// Loose floating-point tolerance against two-stage — plus a bitwise
 // thread-determinism check of its own. The auto-dispatching MulTo must
 // be bitwise identical to whatever plan PlanFor says it picks.
-func CheckStrategyEquivalence(m *cbm.Matrix, b *dense.Matrix, threadsList, colBlocks []int) error {
+func CheckStrategyEquivalence(m *cbm.Matrix, b *dense.Matrix, threadsList []int) error {
 	want := dense.New(m.Rows(), b.Cols)
-	m.MulToStrategy(want, b, 1, cbm.StrategyBranch, 0)
+	m.MulToStrategy(want, b, 1, cbm.StrategyBranch)
 	got := dense.New(m.Rows(), b.Cols)
 	var csrWant *dense.Matrix
 	if m.HasCSRPlan() {
 		csrWant = dense.New(m.Rows(), b.Cols)
-		m.MulToStrategy(csrWant, b, 1, cbm.StrategyCSR, 0)
+		m.MulToStrategy(csrWant, b, 1, cbm.StrategyCSR)
 		if d := Compare(csrWant, want, Loose()); d != nil {
 			return fmt.Errorf("strategy equivalence (csr vs two-stage, threads=1): %w", d)
 		}
 	}
 	for _, threads := range threadsList {
-		for _, blk := range colBlocks {
-			m.MulToStrategy(got, b, threads, cbm.StrategyBranchColumn, blk)
-			if !got.Equal(want) {
-				d := Compare(got, want, Tolerance{})
-				return fmt.Errorf("strategy equivalence (branch-column, threads=%d colBlock=%d): %w", threads, blk, d)
-			}
-		}
-		m.MulToStrategy(got, b, threads, cbm.StrategyFused, 0)
+		m.MulToStrategy(got, b, threads, cbm.StrategyBranch)
 		if !got.Equal(want) {
 			d := Compare(got, want, Tolerance{})
-			return fmt.Errorf("strategy equivalence (fused, threads=%d): %w", threads, d)
+			return fmt.Errorf("strategy equivalence (two-stage not thread-invariant, threads=%d): %w", threads, d)
 		}
 		if csrWant != nil {
-			m.MulToStrategy(got, b, threads, cbm.StrategyCSR, 0)
+			m.MulToStrategy(got, b, threads, cbm.StrategyCSR)
 			if !got.Equal(csrWant) {
 				d := Compare(got, csrWant, Tolerance{})
 				return fmt.Errorf("strategy equivalence (csr not thread-deterministic, threads=%d): %w", threads, d)

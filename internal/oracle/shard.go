@@ -37,7 +37,7 @@ func CheckShardEquivalence(a *sparse.CSR, b *dense.Matrix, shards, threads int, 
 	if b.Rows != a.Rows {
 		panic(fmt.Sprintf("oracle: CheckShardEquivalence operand has %d rows, want %d", b.Rows, a.Rows))
 	}
-	sa, stats, err := shard.New(a, shard.Options{Shards: shards, CBM: opt, ColsHint: b.Cols})
+	sa, stats, err := shard.New(a, shard.Options{Shards: shards, CBM: opt})
 	if err != nil {
 		return fmt.Errorf("shard equivalence: build: %w", err)
 	}
@@ -80,7 +80,7 @@ func CheckShardEquivalence(a *sparse.CSR, b *dense.Matrix, shards, threads int, 
 			return fmt.Errorf("shard equivalence: compress unsharded: %w", err)
 		}
 		want := dense.New(a.Rows, b.Cols)
-		base.WithSymmetricScale(na.Diag).MulToStrategy(want, b, threads, sa.Plan(0), 0)
+		base.WithSymmetricScale(na.Diag).MulToStrategy(want, b, threads, sa.Plan(0))
 		if !got.Equal(want) {
 			return fmt.Errorf("shard equivalence (shards=1, threads=%d): output differs bitwise from the unsharded CBM under plan %v", threads, sa.Plan(0))
 		}

@@ -36,70 +36,69 @@ func (c StressConfig) normalized() StressConfig {
 	return c
 }
 
-// StressMatrix runs cfg.Iters rounds in which MulParallel,
-// MulToStrategy(StrategyBranchColumn), MulToStrategy(StrategyFused) and
-// MulVecParallel execute concurrently on m with independently
-// randomized thread counts and column-block widths, each checked
-// bitwise against the sequential result of its own plan family: the
-// tree plans against forced two-stage, the auto MulParallel against
-// whatever plan the selector names for that thread count (the CSR plan
-// is only loose-equivalent to the tree plans, so it gets its own
-// sequential reference). The first discrepancy is returned.
+// StressMatrix runs cfg.Iters rounds in which MulParallel, the forced
+// two-stage plan, the forced CSR plan (or, without a source matrix, the
+// two-stage plan once more) and MulVecParallel execute concurrently on
+// m with independently randomized thread counts, each checked bitwise
+// against the sequential result of its own plan: the auto MulParallel
+// against whatever plan PlanFor names (the CSR plan is only
+// loose-equivalent to the tree plan, so it gets its own sequential
+// reference). The first discrepancy is returned.
 func StressMatrix(m *cbm.Matrix, b *dense.Matrix, v []float32, cfg StressConfig) error {
 	cfg = cfg.normalized()
 	rng := xrand.New(cfg.Seed)
 	wantC := dense.New(m.Rows(), b.Cols)
-	m.MulToStrategy(wantC, b, 1, cbm.StrategyBranch, 0)
+	m.MulToStrategy(wantC, b, 1, cbm.StrategyBranch)
 	var csrWant *dense.Matrix
 	if m.HasCSRPlan() {
 		csrWant = dense.New(m.Rows(), b.Cols)
-		m.MulToStrategy(csrWant, b, 1, cbm.StrategyCSR, 0)
+		m.MulToStrategy(csrWant, b, 1, cbm.StrategyCSR)
 	}
 	wantY := m.MulVec(v)
+	refFor := func(p cbm.UpdateStrategy) *dense.Matrix {
+		if p == cbm.StrategyCSR {
+			return csrWant
+		}
+		return wantC
+	}
+	// forced multiplies under plan p at the given thread count and
+	// checks the result against p's sequential reference.
+	forced := func(p cbm.UpdateStrategy, threads int) error {
+		got := dense.New(m.Rows(), b.Cols)
+		m.MulToStrategy(got, b, threads, p)
+		if ref := refFor(p); !got.Equal(ref) {
+			return fmt.Errorf("MulToStrategy(%v, threads=%d): %w", p, threads, Compare(got, ref, Tolerance{}))
+		}
+		return nil
+	}
+	last := cbm.StrategyBranch
+	if csrWant != nil {
+		last = cbm.StrategyCSR
+	}
 	for it := 0; it < cfg.Iters; it++ {
 		t1 := 2 + rng.Intn(cfg.MaxThreads-1)
 		t2 := 2 + rng.Intn(cfg.MaxThreads-1)
 		t3 := 2 + rng.Intn(cfg.MaxThreads-1)
 		t4 := 2 + rng.Intn(cfg.MaxThreads-1)
-		blk := 1 + rng.Intn(b.Cols+8)
 		var e1, e2, e3, e4 error
 		parallel.Do(
 			func() {
-				ref := wantC
-				if plan := m.PlanFor(t1, b.Cols); plan == cbm.StrategyCSR {
-					ref = csrWant
-				}
+				ref := refFor(m.PlanFor(t1, b.Cols))
 				if ref == nil {
-					e1 = fmt.Errorf("MulParallel(threads=%d): selector picked the CSR plan but it is unavailable", t1)
+					e1 = fmt.Errorf("MulParallel(threads=%d): PlanFor picked the CSR plan but it is unavailable", t1)
 					return
 				}
 				if got := m.MulParallel(b, t1); !got.Equal(ref) {
 					e1 = fmt.Errorf("MulParallel(threads=%d): %w", t1, Compare(got, ref, Tolerance{}))
 				}
 			},
+			func() { e2 = forced(cbm.StrategyBranch, t2) },
 			func() {
-				got := dense.New(m.Rows(), b.Cols)
-				m.MulToStrategy(got, b, t2, cbm.StrategyBranchColumn, blk)
-				if !got.Equal(wantC) {
-					e2 = fmt.Errorf("MulToStrategy(threads=%d colBlock=%d): %w", t2, blk, Compare(got, wantC, Tolerance{}))
+				if d := CompareVec(m.MulVecParallel(v, t3), wantY, Tolerance{}); d != nil {
+					e3 = fmt.Errorf("MulVecParallel(threads=%d): %w", t3, d)
 				}
 			},
-			func() {
-				got := m.MulVecParallel(v, t3)
-				for i := range got {
-					if got[i] != wantY[i] {
-						e3 = fmt.Errorf("MulVecParallel(threads=%d) at [%d]: %v vs %v", t3, i, got[i], wantY[i])
-						return
-					}
-				}
-			},
-			func() {
-				got := dense.New(m.Rows(), b.Cols)
-				m.MulToStrategy(got, b, t4, cbm.StrategyFused, 0)
-				if !got.Equal(wantC) {
-					e4 = fmt.Errorf("MulToStrategy(fused, threads=%d): %w", t4, Compare(got, wantC, Tolerance{}))
-				}
-			},
+			func() { e4 = forced(last, t4) },
 		)
 		for _, err := range []error{e1, e2, e3, e4} {
 			if err != nil {

@@ -214,7 +214,7 @@ func (a *ShardedAdjacency) runShard(ls *lease, s int, c, b *dense.Matrix, sink o
 	bs.Data = b.Data[p.lo*b.Cols : p.hi*b.Cols : p.hi*b.Cols]
 
 	sp := sink.Begin(obs.StageShard)
-	p.intra.MulToStrategyCtx(sctx, cs, bs, p.plan, 0)
+	p.intra.MulToStrategyCtx(sctx, cs, bs, p.plan)
 	sp.End()
 
 	if len(p.frontier) == 0 {

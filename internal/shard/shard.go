@@ -17,10 +17,6 @@ type Options struct {
 	Shards int
 	// CBM configures the per-shard intra-block compression.
 	CBM cbm.Options
-	// ColsHint is the operand width the per-shard plan is pinned for at
-	// build time (the plan must not vary per call, or thread-count
-	// invariance would hinge on the selector). Default 64.
-	ColsHint int
 	// ByRows selects the equal-row-count partition instead of the
 	// default nnz-balanced cut (benchmarks and tests).
 	ByRows bool
@@ -92,10 +88,6 @@ func NewFromPartition(a *sparse.CSR, part Partition, opt Options) (*ShardedAdjac
 }
 
 func newFromPartition(na *graph.NormalizedAdjacency, part Partition, opt Options) (*ShardedAdjacency, Stats, error) {
-	colsHint := opt.ColsHint
-	if colsHint <= 0 {
-		colsHint = 64
-	}
 	n := na.Binary.Rows
 	shards := part.NumShards()
 	stats := Stats{
@@ -120,7 +112,7 @@ func newFromPartition(na *graph.NormalizedAdjacency, part Partition, opt Options
 			return nil, Stats{}, fmt.Errorf("shard %d [%d,%d): %w", s, lo, hi, err)
 		}
 		p.intra = intra.WithSymmetricScale(na.Diag[lo:hi])
-		p.plan = p.intra.PlanFor(1, colsHint)
+		p.plan = p.intra.PlanFor(1, 1) // the rule ignores threads and width
 
 		p.frontier, p.halo = buildHalo(na, lo, hi, compact)
 

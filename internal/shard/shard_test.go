@@ -193,7 +193,7 @@ func TestSingleShardBitwiseMatchesUnsharded(t *testing.T) {
 	}
 	dad := base.WithSymmetricScale(na.Diag)
 	want := dense.New(110, 9)
-	dad.MulToStrategy(want, b, 1, sa.Plan(0), 0)
+	dad.MulToStrategy(want, b, 1, sa.Plan(0))
 	got := dense.New(110, 9)
 	sa.MulTo(got, b, 1)
 	if !got.Equal(want) {
