@@ -18,12 +18,12 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 
-echo "==> go vet $PKGS (asmdecl checks gemm_amd64.s against its Go declarations)"
+echo "==> go vet $PKGS (asmdecl checks every *_amd64.s against its Go declarations)"
 go vet "$PKGS"
 
-echo "==> portable GEMM path (GOARCH=arm64 build + vet, so the !amd64 kernel file cannot rot)"
+echo "==> portable kernel paths (GOARCH=arm64 build + vet, so the !amd64 kernel files cannot rot)"
 GOARCH=arm64 go build "$PKGS"
-GOARCH=arm64 go vet ./internal/dense
+GOARCH=arm64 go vet ./internal/dense ./internal/blas ./internal/kernels
 
 echo "==> cbmlint $PKGS (all analyzers incl. arenalease/ctxprop/determinism, JSON report)"
 # -json keeps the failure report stable and greppable; the report is
@@ -57,8 +57,12 @@ go test -race -count=1 -run 'TestEngine' ./internal/gnn/
 echo "==> micro-batching smoke (-race, deterministic clock + batched bitwise equivalence)"
 go test -race -count=1 -run 'TestBatcher|TestGatherScatter|TestEngineBatched' ./internal/gnn/
 
-echo "==> zero-alloc smoke (GEMM kernel + arena + forward path + engine steady state, incl. sharded backend; SIMD GEMM bitwise vs portable)"
-go test -count=1 -run 'ZeroAlloc|TestArenaSteadyState|TestSAGEBatchAllocs|TestMulToBitwisePortable' ./internal/dense/ ./internal/exec/ ./internal/gnn/ ./internal/shard/
+echo "==> zero-alloc smoke (GEMM, CSR and two-stage kernels + arena + forward path + engine steady state, incl. sharded backend; SIMD kernels bitwise vs portable)"
+go test -count=1 -run 'ZeroAlloc|TestArenaSteadyState|TestSAGEBatchAllocs|Bitwise' \
+    ./internal/dense/ ./internal/blas/ ./internal/kernels/ ./internal/cbm/ ./internal/exec/ ./internal/gnn/ ./internal/shard/
+
+echo "==> SIMD bitwise under GOAMD64=v3 (a compiler that fuses the portable references into FMA fails here)"
+GOAMD64=v3 go test -count=1 -run 'Bitwise' ./internal/dense/ ./internal/blas/ ./internal/kernels/ ./internal/cbm/
 
 echo "==> shard stress (-race, concurrent sharded serving + lease pool)"
 go test -race -count=1 -run 'TestEngineSharded|TestSharded|TestLease|TestProvisionScratch' ./internal/gnn/ ./internal/shard/

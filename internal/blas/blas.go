@@ -1,12 +1,16 @@
 // Package blas provides the small set of single-precision vector
 // kernels the CBM multiplication pipeline is built from. They stand in
-// for the Intel MKL routines (axpy and friends) the paper uses: plain
-// Go loops, manually unrolled by eight — with a four-wide step before
-// the scalar tail, so remainders shorter than a full unroll still run
-// mostly vectorized — so the compiler can keep the accumulators in
-// registers and bounds checks are hoisted. The unrolls never reorder
-// or reassociate per-element operations, so results are bitwise
-// identical to the plain loop.
+// for the Intel MKL routines (axpy and friends) the paper uses.
+//
+// Axpy, Add, AxpbyTo and Scal run their full 8-element blocks through
+// AVX assembly where the CPU and OS support it (HasAVX, fixed at init)
+// and the remainder through the portable Go loops, which are also the
+// whole implementation off amd64. The Go compiler does not vectorize,
+// so those loops are scalar: they are unrolled by eight, with a
+// four-wide step before the tail, only to hoist bounds checks and
+// loop overhead. Every element is computed independently by the same
+// operations in the same order on either path, each product rounded
+// before its add (no FMA), so the results are bitwise identical.
 package blas
 
 import "fmt"
@@ -22,6 +26,21 @@ func Axpy(a float32, x, y []float32) {
 	if a == 0 || len(x) == 0 {
 		return
 	}
+	i := 0
+	if n := len(x) &^ 7; useAVX && n > 0 {
+		axpyAVX(a, &x[0], &y[0], n/8)
+		if n == len(x) {
+			return
+		}
+		i = n
+	}
+	axpyPortable(a, x[i:], y[i:])
+}
+
+// axpyPortable is the portable body of Axpy, for len(x) == len(y).
+//
+//cbm:hotpath
+func axpyPortable(a float32, x, y []float32) {
 	i := 0
 	// Unrolled main loop; the slice re-slice pins a common bound so the
 	// compiler eliminates per-element bounds checks.
@@ -60,6 +79,21 @@ func Add(x, y []float32) {
 		panic(fmt.Sprintf("blas: Add length mismatch: len(x)=%d len(y)=%d", len(x), len(y)))
 	}
 	i := 0
+	if n := len(x) &^ 7; useAVX && n > 0 {
+		addAVX(&x[0], &y[0], n/8)
+		if n == len(x) {
+			return
+		}
+		i = n
+	}
+	addPortable(x[i:], y[i:])
+}
+
+// addPortable is the portable body of Add, for len(x) == len(y).
+//
+//cbm:hotpath
+func addPortable(x, y []float32) {
+	i := 0
 	for ; i+8 <= len(x); i += 8 {
 		xs := x[i : i+8 : i+8]
 		ys := y[i : i+8 : i+8]
@@ -96,6 +130,21 @@ func AxpbyTo(dst []float32, a float32, x []float32, b float32, y []float32) {
 		panic(fmt.Sprintf("blas: AxpbyTo length mismatch: len(dst)=%d len(x)=%d len(y)=%d", len(dst), len(x), len(y)))
 	}
 	i := 0
+	if n := len(x) &^ 7; useAVX && n > 0 {
+		axpbyAVX(&dst[0], a, &x[0], b, &y[0], n/8)
+		if n == len(x) {
+			return
+		}
+		i = n
+	}
+	axpbyPortable(dst[i:], a, x[i:], b, y[i:])
+}
+
+// axpbyPortable is the portable body of AxpbyTo, for equal lengths.
+//
+//cbm:hotpath
+func axpbyPortable(dst []float32, a float32, x []float32, b float32, y []float32) {
+	i := 0
 	for ; i+8 <= len(x); i += 8 {
 		xs := x[i : i+8 : i+8]
 		ys := y[i : i+8 : i+8]
@@ -128,6 +177,21 @@ func AxpbyTo(dst []float32, a float32, x []float32, b float32, y []float32) {
 //
 //cbm:hotpath
 func Scal(a float32, x []float32) {
+	i := 0
+	if n := len(x) &^ 7; useAVX && n > 0 {
+		scalAVX(a, &x[0], n/8)
+		if n == len(x) {
+			return
+		}
+		i = n
+	}
+	scalPortable(a, x[i:])
+}
+
+// scalPortable is the portable body of Scal.
+//
+//cbm:hotpath
+func scalPortable(a float32, x []float32) {
 	i := 0
 	for ; i+8 <= len(x); i += 8 {
 		xs := x[i : i+8 : i+8]

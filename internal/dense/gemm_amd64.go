@@ -6,24 +6,10 @@ import (
 	"repro/internal/blas"
 )
 
-// useAVX is fixed at package init from CPUID and XGETBV: the CPU must
-// implement AVX and the OS must save the YMM state across context
-// switches. Without both, MulTo runs the portable mulRows.
-var useAVX = detectAVX()
-
-func detectAVX() bool {
-	const (
-		osxsave = 1 << 27 // CPUID.1:ECX — XGETBV is usable
-		avx     = 1 << 28 // CPUID.1:ECX — AVX instructions
-		ymmOS   = 0b110   // XCR0 — XMM and YMM state enabled by the OS
-	)
-	_, _, ecx, _ := cpuid(1, 0)
-	if ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	xcr0, _ := xgetbv()
-	return xcr0&ymmOS == ymmOS
-}
+// useAVX is the package-wide CPU probe from blas (AVX on the CPU, YMM
+// state saved by the OS), fixed at init. Without it MulTo runs the
+// portable mulRows.
+var useAVX = blas.HasAVX()
 
 // gemmRowAVX overwrites c[0 : 8·strips] with the product of the k-long
 // row a and the row-major k×n matrix b, one mul-then-add per term in k
@@ -31,12 +17,6 @@ func detectAVX() bool {
 //
 //go:noescape
 func gemmRowAVX(c, a, b *float32, k, n, strips int)
-
-//go:noescape
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-//go:noescape
-func xgetbv() (eax, edx uint32)
 
 // mulRowsKernel computes output rows [lo, hi) of c = a·b, overwriting
 // them, with the kernel chosen at init.

@@ -75,6 +75,8 @@ type BenchStageSplit struct {
 // BenchDataset is one dataset's row of the benchmark report. CBMMul is
 // the production entry point (MulTo, compression-ratio plan rule);
 // CBMTwoStage and CBMCSRPlan force the two plans it chooses between.
+// All four timings, CSRSpMM included, come from one interleaved
+// rotation, so Speedup is a paired ratio.
 type BenchDataset struct {
 	Name             string      `json:"name"`
 	Nodes            int         `json:"nodes"`
@@ -250,20 +252,21 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 		}
 		build := time.Since(start)
 
-		tCSR := bench.Measure(cfg.Reps, cfg.Warmup, func() { kernels.SpMMTo(c, a, b, cfg.Threads) })
-		tCBM := bench.Measure(cfg.Reps, cfg.Warmup, func() { m.MulTo(c, b, cfg.Threads) })
-		// The two forced plans are measured in one interleaved rotation
-		// so machine drift cannot masquerade as a plan difference. The
-		// two-stage plan runs under its own scoped obs.Recorder (the CSR
-		// plan also records StageSpMM, so one shared bracket would
-		// conflate it with the two-stage split).
+		// The headline pair (CSR SpMM vs the chosen CBM plan) and the
+		// two forced plans are measured in one interleaved rotation, so
+		// machine drift cannot masquerade as a format or plan
+		// difference. The two-stage plan runs under its own scoped
+		// obs.Recorder (the CSR plan also records StageSpMM, so one
+		// shared bracket would conflate it with the two-stage split).
 		recTwo := obs.NewRecorder()
 		ctxTwo := exec.NewWithSink(cfg.Threads, recTwo)
 		tms := bench.MeasureInterleaved(cfg.Reps, cfg.Warmup,
+			func() { kernels.SpMMTo(c, a, b, cfg.Threads) },
+			func() { m.MulTo(c, b, cfg.Threads) },
 			func() { m.MulToStrategyCtx(ctxTwo, c, b, cbm.StrategyBranch) },
 			func() { m.MulToStrategy(c, b, cfg.Threads, cbm.StrategyCSR) },
 		)
-		tTwoStage, tCSRPlan := tms[0], tms[1]
+		tCSR, tCBM, tTwoStage, tCSRPlan := tms[0], tms[1], tms[2], tms[3]
 
 		calls := float64(cfg.Reps + cfg.Warmup)
 		spmmS := recTwo.StageSeconds(obs.StageSpMM) / calls

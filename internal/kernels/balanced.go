@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/dense"
+	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -131,6 +132,20 @@ func rowOf(s *sparse.CSR, k int) int {
 
 func minInt(a, b int) int {
 	if a < b {
+		return a
+	}
+	return b
+}
+
+func threadsOrDefault(t int) int {
+	if t < 1 {
+		return parallel.DefaultThreads()
+	}
+	return t
+}
+
+func maxInt(a, b int) int {
+	if a > b {
 		return a
 	}
 	return b

@@ -5,6 +5,12 @@
 // is used both by the CSR baseline and by the multiplication stage of
 // the CBM format (applied to the delta matrix), so speedup comparisons
 // isolate the effect of the format, exactly as in the paper.
+//
+// SpMMTo and SpMMDiagTo share one row function. On amd64 with AVX it
+// keeps each 8-column strip of an output row in a YMM register across
+// all of the row's nonzeros and stores it once; the n mod 8 tail
+// columns, and every column off amd64, run the portable loop, which is
+// the reference the AVX kernel matches bit for bit.
 package kernels
 
 import (
@@ -53,55 +59,7 @@ func SpMMToSink(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, threads int, si
 	if c.Rows != s.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("kernels: SpMM output shape mismatch: c is %dx%d, want %dx%d", c.Rows, c.Cols, s.Rows, b.Cols))
 	}
-	sink.Inc(obs.CounterSpMMCalls)
-	// Sequential fast path: run the row loop inline, with a plain
-	// Begin/End span instead of the obs.Do closure — both the loop-body
-	// and the Do closures heap-allocate at this call site even when the
-	// schedule is single-threaded, which the zero-allocation serving
-	// path cannot afford. (Tradeoff: no pprof stage label here; labels
-	// exist to attribute pool-worker samples, which a sequential run
-	// does not have.)
-	if parallel.Sequential(threads, s.Rows) {
-		sp := sink.Begin(obs.StageSpMM)
-		for i := 0; i < s.Rows; i++ {
-			spmmRow(c, s, b, i)
-		}
-		sp.End()
-		return
-	}
-	// Grain: enough rows that scheduling overhead amortizes, small
-	// enough that heavy rows don't serialize the tail. Derived from the
-	// thread count the parallel loop will actually use — the raw request
-	// can exceed it for small matrices, which used to undersize the
-	// divisor and produce oversized grains.
-	grain := s.Rows / (8 * parallel.EffectiveThreads(threads, s.Rows))
-	if grain < 16 {
-		grain = 16
-	}
-	obs.DoWith(sink, obs.StageSpMM, func() {
-		parallel.ForDynamic(s.Rows, threads, grain, func(i int) {
-			spmmRow(c, s, b, i)
-		})
-	})
-}
-
-// spmmRow computes one output row: c[i,:] = Σ_k s[i,k]·b[k,:].
-//
-//cbm:hotpath
-func spmmRow(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, i int) {
-	cols, vals := s.Row(i)
-	crow := c.Row(i)
-	blas.Fill(crow, 0)
-	// Binary fast path: when all values in the row are 1 the multiply
-	// reduces to summing B rows, which is what adjacency matrices hit.
-	for k, col := range cols {
-		v := vals[k]
-		if v == 1 {
-			blas.Add(b.Row(int(col)), crow)
-		} else {
-			blas.Axpy(v, b.Row(int(col)), crow)
-		}
-	}
+	spmmDiag(c, s, b, nil, nil, threads, sink)
 }
 
 // SpMMDiagTo computes c = diag(left)·s·diag(right)·b without ever
@@ -128,68 +86,74 @@ func SpMMDiagTo(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []f
 	if right != nil && len(right) != s.Cols {
 		panic(fmt.Sprintf("kernels: SpMMDiag right diagonal length %d, want %d", len(right), s.Cols))
 	}
+	spmmDiag(c, s, b, left, right, threads, sink)
+}
+
+// spmmDiag runs spmmRow over every output row of
+// c = diag(left)·s·diag(right)·b, shapes already checked. Rows of the
+// output are distributed to threads in dynamically scheduled chunks so
+// skewed degree distributions balance.
+//
+//cbm:hotpath
+func spmmDiag(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []float32, threads int, sink obs.Sink) {
 	sink.Inc(obs.CounterSpMMCalls)
+	// Sequential fast path: run the row loop inline, with a plain
+	// Begin/End span instead of the obs.Do closure — both the loop-body
+	// and the Do closures heap-allocate at this call site even when the
+	// schedule is single-threaded, which the zero-allocation serving
+	// path cannot afford. (Tradeoff: no pprof stage label here; labels
+	// exist to attribute pool-worker samples, which a sequential run
+	// does not have.)
 	if parallel.Sequential(threads, s.Rows) {
 		sp := sink.Begin(obs.StageSpMM)
 		for i := 0; i < s.Rows; i++ {
-			spmmDiagRow(c, s, b, left, right, i)
+			spmmRow(c, s, b, left, right, i)
 		}
 		sp.End()
 		return
 	}
+	// Grain: enough rows that scheduling overhead amortizes, small
+	// enough that heavy rows don't serialize the tail. Derived from the
+	// thread count the parallel loop will actually use — the raw request
+	// can exceed it for small matrices, which used to undersize the
+	// divisor and produce oversized grains.
 	grain := s.Rows / (8 * parallel.EffectiveThreads(threads, s.Rows))
 	if grain < 16 {
 		grain = 16
 	}
 	obs.DoWith(sink, obs.StageSpMM, func() {
 		parallel.ForDynamic(s.Rows, threads, grain, func(i int) {
-			spmmDiagRow(c, s, b, left, right, i)
+			spmmRow(c, s, b, left, right, i)
 		})
 	})
 }
 
-// spmmDiagRow computes one diag-scaled output row:
-// c[i,:] = left[i] · Σ_k s[i,k]·right[k]·b[k,:].
+// spmmRowPortable computes columns [lo, b.Cols) of output row i,
+// overwriting them: c[i,j] = left[i] · Σ_k s[i,k]·right[k]·b[k,j], with
+// the nonzeros in stored order and a nil diagonal meaning identity. It
+// is the whole row kernel off amd64 and the reference the AVX kernel
+// matches bit for bit.
 //
 //cbm:hotpath
-func spmmDiagRow(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []float32, i int) {
+func spmmRowPortable(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []float32, i, lo int) {
 	cols, vals := s.Row(i)
-	crow := c.Row(i)
+	crow := c.Row(i)[lo:]
 	blas.Fill(crow, 0)
-	if right == nil {
-		for k, col := range cols {
-			if v := vals[k]; v == 1 {
-				blas.Add(b.Row(int(col)), crow)
-			} else {
-				blas.Axpy(v, b.Row(int(col)), crow)
-			}
+	for k, col := range cols {
+		v := vals[k]
+		if right != nil {
+			v *= right[col]
 		}
-	} else {
-		for k, col := range cols {
-			if v := vals[k] * right[col]; v == 1 {
-				blas.Add(b.Row(int(col)), crow)
-			} else {
-				blas.Axpy(v, b.Row(int(col)), crow)
-			}
+		// Binary fast path: adjacency rows of ones sum B rows.
+		if brow := b.Row(int(col))[lo:]; v == 1 {
+			blas.Add(brow, crow)
+		} else {
+			blas.Axpy(v, brow, crow)
 		}
 	}
 	if left != nil {
 		blas.Scal(left[i], crow)
 	}
-}
-
-func threadsOrDefault(t int) int {
-	if t < 1 {
-		return parallel.DefaultThreads()
-	}
-	return t
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SpMV computes y = S·x sequentially for a dense vector x.

@@ -56,7 +56,7 @@ func SpMMAddToSink(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, threads int,
 }
 
 // spmmAddRow accumulates one output row: c[i,:] += Σ_k s[i,k]·b[k,:].
-// Identical to spmmRow minus the zero fill.
+// It is spmmRowPortable without the zero fill and the diagonals.
 //
 //cbm:hotpath
 func spmmAddRow(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, i int) {
