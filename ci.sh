@@ -48,6 +48,9 @@ go test "$PKGS"
 echo "==> go test -race (concurrency-heavy packages)"
 go test -race ./internal/cbm/... ./internal/parallel/... ./internal/kernels/... ./internal/oracle/... ./internal/obs/... ./internal/exec/... ./internal/gnn/... ./internal/clock/... ./internal/reorder/... ./internal/shard/...
 
+echo "==> compression thread invariance (-race, Encode byte-identical at Threads 1/2/4; parallel candidate pass + per-component arborescence)"
+go test -race -count=1 -run 'TestCompressThreadInvariantEncode' ./internal/cbm/
+
 echo "==> worker-pool stress (-race, reuse + nested submits + determinism)"
 go test -race -count=1 -run 'TestPool' ./internal/parallel/
 

@@ -128,8 +128,8 @@ func main() {
 		m.NumDeltas(), 100*float64(m.NumDeltas())/float64(maxInt(a.NNZ(), 1)))
 	outf("tree edges:        %d real, %d virtual-root children, depth %d\n",
 		stats.TreeEdges, stats.VirtualKids, stats.Depth)
-	outf("build time:        %v (candidates %v, tree %v, deltas %v)\n",
-		stats.Total(), stats.CandidateTime, stats.TreeTime, stats.DeltaTime)
+	outf("build time:        %v (candidates %v, tree %v over %d components, deltas %v)\n",
+		stats.Total(), stats.CandidateTime, stats.TreeTime, stats.Components, stats.DeltaTime)
 	outf("S_CSR:             %s MiB\n", bench.MiB(a.FootprintBytes()))
 	outf("S_CBM:             %s MiB\n", bench.MiB(m.FootprintBytes()))
 	outf("compression ratio: %.2f×\n", ratio)

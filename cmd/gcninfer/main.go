@@ -137,10 +137,10 @@ func main() {
 // printBuild reports the CBM compression shape (unsharded modes; the
 // sharded backend reports its partition line instead).
 func printBuild(a *sparse.CSR, b *gnn.CBMAdjacency, stats cbm.BuildStats) {
-	outf("CBM build: %v (deltas/nnz = %.3f, %d branches)\n",
+	outf("CBM build: %v (deltas/nnz = %.3f, %d branches, %d tree components)\n",
 		stats.Total(),
 		float64(b.M.NumDeltas())/float64(b.M.Delta().Rows+a.NNZ()),
-		b.M.NumBranches())
+		b.M.NumBranches(), stats.Components)
 }
 
 func shardOrderLabel(order string) string {

@@ -26,6 +26,16 @@ import (
 	"repro/internal/sparse"
 )
 
+// candBlock is the number of consecutive rows one scheduling unit of
+// the candidate pass covers.
+const candBlock = 64
+
+// candScratch is one running block's working memory.
+type candScratch struct {
+	count   []int32 // shared-column count per row, all zero between rows
+	touched []int32 // rows with a non-zero count
+}
+
 // candidate is a potential parent row for some target row.
 type candidate struct {
 	Y int32 // parent row index
@@ -57,12 +67,23 @@ func buildCandidates(a *sparse.CSR, threads, maxCand int, cluster []int32, windo
 	rowNNZ := a.Degrees()
 	var intersecting atomic.Int64
 
-	parallel.ForRange(n, threads, func(lo, hi int) {
-		// Per-worker scratch: shared-neighbour counters plus the list
-		// of rows touched so counters reset in O(touched).
-		count := make([]int32, n)
-		touched := make([]int32, 0, 1024)
-		for x := lo; x < hi; x++ {
+	// Rows are scheduled in small blocks from a shared counter: the
+	// generators emit rows group by group, so a static split hands the
+	// threads very different amounts of intersection work. Each running
+	// block takes its counters from the scratch pool; they are zero
+	// again when the block returns them.
+	nblocks := (n + candBlock - 1) / candBlock
+	scratch := newScratchPool(parallel.EffectiveThreads(threads, nblocks), func() *candScratch {
+		return &candScratch{count: make([]int32, n), touched: make([]int32, 0, 1024)}
+	})
+	parallel.ForDynamic(nblocks, threads, 1, func(b int) {
+		sc := scratch.get()
+		defer scratch.put(sc)
+		// Shared-neighbour counters plus the list of rows touched so
+		// counters reset in O(touched).
+		count, touched := sc.count, sc.touched
+		pairs := 0
+		for x := b * candBlock; x < n && x < (b+1)*candBlock; x++ {
 			touched = touched[:0]
 			for _, j := range a.RowCols(x) {
 				for _, y := range at.RowCols(int(j)) {
@@ -78,7 +99,7 @@ func buildCandidates(a *sparse.CSR, threads, maxCand int, cluster []int32, windo
 			if len(touched) == 0 {
 				continue
 			}
-			intersecting.Add(int64(len(touched)))
+			pairs += len(touched)
 			list := make([]candidate, 0, len(touched))
 			nx := rowNNZ[x]
 			for _, y := range touched {
@@ -108,6 +129,8 @@ func buildCandidates(a *sparse.CSR, threads, maxCand int, cluster []int32, windo
 			}
 			cand[x] = list
 		}
+		sc.touched = touched
+		intersecting.Add(int64(pairs))
 	})
 	return cand, intersecting.Load()
 }
@@ -123,6 +146,35 @@ func candidateEdgeCount(cand [][]candidate) int {
 
 // savings returns nnz(x) − h for a candidate of row x, given nnz(x).
 func (c candidate) savings(nnzX int32) int32 { return nnzX - c.H }
+
+// scratchPool hands each running body of a parallel loop its own
+// scratch value. At most as many bodies run at once as the loop has
+// threads, so at most that many values are ever made; later bodies
+// reuse them.
+type scratchPool[T any] struct {
+	free  chan *T
+	fresh func() *T
+}
+
+func newScratchPool[T any](threads int, fresh func() *T) *scratchPool[T] {
+	return &scratchPool[T]{free: make(chan *T, threads), fresh: fresh}
+}
+
+func (p *scratchPool[T]) get() *T {
+	select {
+	case s := <-p.free:
+		return s
+	default:
+		return p.fresh()
+	}
+}
+
+func (p *scratchPool[T]) put(s *T) {
+	select {
+	case p.free <- s:
+	default:
+	}
+}
 
 func absInt(v int) int {
 	if v < 0 {

@@ -86,6 +86,7 @@ type BuildStats struct {
 	TreeEdges         int           // rows compressed against a real parent
 	VirtualKids       int           // rows hanging off the virtual root
 	Depth             int           // longest dependency chain in the tree
+	Components        int           // tree subproblems solved: pruned-graph components (MCA), 1 (MST)
 	CandidateTime     time.Duration // AAᵀ intersection counting
 	TreeTime          time.Duration // MST / MCA
 	DeltaTime         time.Duration // delta extraction + CSR assembly
@@ -161,19 +162,13 @@ func (b *Builder) Compress(alpha int, forceMCA bool) (*Matrix, BuildStats, error
 	stats := BuildStats{Alpha: alpha, CandidateTime: b.candDur, IntersectingPairs: b.pairs}
 
 	treeStart := buildClock.Now()
-	var parent []int32
-	var total int64
-	var err error
-	if alpha == 0 && !forceMCA {
-		parent, total = buildTreeMST(b.a, b.cand)
-	} else {
-		parent, total, err = buildTreeMCA(b.a, b.cand, alpha)
-		if err != nil {
-			return nil, BuildStats{}, err
-		}
+	parent, total, components, err := buildTree(b.a, b.cand, alpha, forceMCA, b.threads)
+	if err != nil {
+		return nil, BuildStats{}, err
 	}
 	stats.TreeTime = buildClock.Now().Sub(treeStart)
 	stats.TreeWeight = total
+	stats.Components = components
 	for _, p := range parent {
 		if p < 0 {
 			stats.VirtualKids++

@@ -71,19 +71,13 @@ func CompressClustered(a *sparse.CSR, opt Options, copt ClusterOptions) (*Matrix
 	stats.CandidateEdges = cstats.CandidateEdges
 
 	treeStart := buildClock.Now()
-	var parent []int32
-	var total int64
-	var err error
-	if opt.Alpha == 0 && !opt.ForceMCA {
-		parent, total = buildTreeMST(a, cand)
-	} else {
-		parent, total, err = buildTreeMCA(a, cand, opt.Alpha)
-		if err != nil {
-			return nil, BuildStats{}, ClusterStats{}, err
-		}
+	parent, total, components, err := buildTree(a, cand, opt.Alpha, opt.ForceMCA, opt.Threads)
+	if err != nil {
+		return nil, BuildStats{}, ClusterStats{}, err
 	}
 	stats.TreeTime = buildClock.Now().Sub(treeStart)
 	stats.TreeWeight = total
+	stats.Components = components
 	for _, p := range parent {
 		if p < 0 {
 			stats.VirtualKids++

@@ -79,7 +79,7 @@ func TestCSRPlanMatchesReference(t *testing.T) {
 func TestPlanRuleOnRegistry(t *testing.T) {
 	wantCSR := map[string]bool{"cora-mini": true, "pubmed-mini": true}
 	for _, d := range bench.MiniRegistry(4) {
-		m, _, err := Compress(d.Generate(1), Options{Alpha: d.Paper.BestAlphaPar})
+		m, _, err := Compress(registryMini4()[d.Name], Options{Alpha: d.Paper.BestAlphaPar})
 		if err != nil {
 			t.Fatal(err)
 		}

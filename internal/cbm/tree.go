@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/mca"
 	"repro/internal/mst"
+	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -47,34 +48,161 @@ func buildTreeMST(a *sparse.CSR, cand [][]candidate) (parent []int32, total int6
 	return mst.Prim(g)
 }
 
+// buildTree picks every row's parent: Prim's MST at α = 0 unless
+// forceMCA is set, the per-component arborescence otherwise. It also
+// returns the number of independent subproblems it solved.
+func buildTree(a *sparse.CSR, cand [][]candidate, alpha int, forceMCA bool, threads int) (parent []int32, total int64, components int, err error) {
+	if alpha == 0 && !forceMCA {
+		parent, total = buildTreeMST(a, cand)
+		if a.Rows > 0 {
+			components = 1
+		}
+		return parent, total, components, nil
+	}
+	return buildTreeMCA(a, cand, alpha, threads)
+}
+
 // buildTreeMCA computes the minimum-cost arborescence over the pruned,
 // directed candidate graph: edge y→x survives iff
 // savings(x,y) = nnz(x) − hamming(x,y) ≥ α. The virtual root keeps an
 // edge to every row (weight nnz(x)) so an arborescence always exists.
-func buildTreeMCA(a *sparse.CSR, cand [][]candidate, alpha int) (parent []int32, total int64, err error) {
+//
+// The arborescence is solved once per weakly connected component of
+// the pruned graph (the virtual root excluded), components in parallel
+// and largest first. The result is bit-identical to one solve over the
+// whole graph with edges ordered by row (root edge first, then the
+// candidate order): the global algorithm walks from every node in
+// index order, a walk never leaves its component because the root is
+// already settled, and heaps and union-find entries belong to single
+// nodes, so each component replays exactly its own part of the global
+// solve. To keep that replay exact, a component numbers its rows in
+// ascending global order, puts its root last and keeps the global
+// relative edge order. A single-row component hangs off the root
+// without a solve. components reports how many components there are.
+func buildTreeMCA(a *sparse.CSR, cand [][]candidate, alpha, threads int) (parent []int32, total int64, components int, err error) {
 	n := a.Rows
-	root := int32(n)
-	edges := make([]mca.Edge, 0, candidateEdgeCount(cand)+n)
-	for x := 0; x < n; x++ {
-		nx := int32(a.RowNNZ(x))
-		edges = append(edges, mca.Edge{From: root, To: int32(x), W: int64(nx)})
+	rowNNZ := a.Degrees()
+	kept := func(x int, c candidate) bool { return int(c.savings(rowNNZ[x])) >= alpha }
+
+	// Label components (union-find with path halving); number them in
+	// order of their smallest row.
+	label := make([]int32, n)
+	for i := range label {
+		label[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for label[x] != x {
+			label[x] = label[label[x]]
+			x = label[x]
+		}
+		return x
+	}
+	for x := range cand {
 		for _, c := range cand[x] {
-			if int(c.savings(nx)) >= alpha {
-				edges = append(edges, mca.Edge{From: c.Y, To: int32(x), W: int64(c.H)})
+			if kept(x, c) {
+				rx, ry := find(int32(x)), find(c.Y)
+				if rx < ry {
+					label[ry] = rx
+				} else if ry < rx {
+					label[rx] = ry
+				}
 			}
 		}
 	}
-	par, total, err := mca.Arborescence(n+1, root, edges)
-	if err != nil {
-		return nil, 0, fmt.Errorf("cbm: arborescence construction failed: %w", err)
-	}
-	parent = par[:n]
-	for i := range parent {
-		if parent[i] == root {
-			parent[i] = -1
+	// Links always point to a smaller row, so in ascending order a
+	// row's link is already relabelled with the component id: roots
+	// (each set's smallest row) meet fresh ids in ascending order.
+	var sizes []int32
+	for x := range label {
+		if label[x] == int32(x) {
+			label[x] = int32(len(sizes))
+			sizes = append(sizes, 0)
+		} else {
+			label[x] = label[label[x]]
 		}
+		sizes[label[x]]++
 	}
-	return parent, total, nil
+	components = len(sizes)
+
+	// Rows grouped by component, ascending within each: the local id
+	// of row rows[start[c]+i] is i.
+	start := make([]int32, components+1)
+	for c, sz := range sizes {
+		start[c+1] = start[c] + sz
+	}
+	rows := make([]int32, n)
+	next := append([]int32(nil), start[:components]...)
+	for x := range label {
+		c := label[x]
+		rows[next[c]] = int32(x)
+		next[c]++
+	}
+	parent = make([]int32, n)
+	var order []int32 // components of two or more rows
+	for c, sz := range sizes {
+		if sz == 1 {
+			x := rows[start[c]]
+			parent[x] = -1
+			total += int64(rowNNZ[x])
+			continue
+		}
+		order = append(order, int32(c))
+	}
+	sort.SliceStable(order, func(i, j int) bool { return sizes[order[i]] > sizes[order[j]] })
+
+	type treeScratch struct {
+		solver mca.Solver
+		edges  []mca.Edge
+	}
+	scratch := newScratchPool(parallel.EffectiveThreads(threads, len(order)), func() *treeScratch {
+		return new(treeScratch)
+	})
+	// local maps a row to its id within its component. It reuses
+	// label, which is not read again; each component writes and reads
+	// only its own rows.
+	local := label
+	totals := make([]int64, len(order))
+	errs := make([]error, len(order))
+	parallel.ForDynamic(len(order), threads, 1, func(k int) {
+		sc := scratch.get()
+		defer scratch.put(sc)
+		c := order[k]
+		members := rows[start[c]:start[c+1]]
+		for i, x := range members {
+			local[x] = int32(i)
+		}
+		root := int32(len(members))
+		edges := sc.edges[:0]
+		for i, x := range members {
+			edges = append(edges, mca.Edge{From: root, To: int32(i), W: int64(rowNNZ[x])})
+			for _, cd := range cand[x] {
+				if kept(int(x), cd) {
+					edges = append(edges, mca.Edge{From: local[cd.Y], To: int32(i), W: int64(cd.H)})
+				}
+			}
+		}
+		sc.edges = edges
+		par, t, err := sc.solver.Solve(len(members)+1, root, edges)
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		for i, p := range par[:len(members)] {
+			if p == root {
+				parent[members[i]] = -1
+			} else {
+				parent[members[i]] = members[p]
+			}
+		}
+		totals[k] = t
+	})
+	for k := range order {
+		if errs[k] != nil {
+			return nil, 0, 0, fmt.Errorf("cbm: arborescence construction failed: %w", errs[k])
+		}
+		total += totals[k]
+	}
+	return parent, total, components, nil
 }
 
 // branchDecompose splits the compression tree into the sub-trees that

@@ -11,9 +11,12 @@ import (
 // Table2Row is one (dataset, α) compression measurement (paper
 // Table II).
 type Table2Row struct {
-	Name       string
-	Alpha      int
-	BuildTime  bench.Timing
+	Name      string
+	Alpha     int
+	BuildTime bench.Timing
+	// Components counts the independent tree subproblems the build
+	// solved (cbm.BuildStats.Components), its unit of parallelism.
+	Components int
 	CSRBytes   int64
 	CBMBytes   int64
 	Ratio      float64
@@ -36,9 +39,10 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		for _, alpha := range []int{0, 32} {
 			alpha := alpha
 			var m *cbm.Matrix
+			var stats cbm.BuildStats
 			timing := bench.Measure(cfg.Reps, cfg.Warmup, func() {
 				var err2 error
-				m, _, err2 = cbm.Compress(a, cbm.Options{Alpha: alpha, Threads: cfg.Threads})
+				m, stats, err2 = cbm.Compress(a, cbm.Options{Alpha: alpha, Threads: cfg.Threads})
 				if err2 != nil {
 					panic(err2)
 				}
@@ -51,6 +55,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 				Name:       d.Name,
 				Alpha:      alpha,
 				BuildTime:  timing,
+				Components: stats.Components,
 				CSRBytes:   a.FootprintBytes(),
 				CBMBytes:   m.FootprintBytes(),
 				Ratio:      float64(a.FootprintBytes()) / float64(m.FootprintBytes()),
@@ -64,12 +69,13 @@ func Table2(cfg Config) ([]Table2Row, error) {
 // WriteTable2 renders the rows in the paper's Table-II layout.
 func WriteTable2(w io.Writer, rows []Table2Row) {
 	t := &bench.Table{Header: []string{
-		"Graph", "Alpha", "Time[s]", "S_CSR[MiB]", "S_CBM[MiB]", "Ratio", "paperRatio",
+		"Graph", "Alpha", "Time[s]", "comps", "S_CSR[MiB]", "S_CBM[MiB]", "Ratio", "paperRatio",
 	}}
 	for _, r := range rows {
 		t.AddRow(r.Name,
 			fmt.Sprintf("%d", r.Alpha),
 			r.BuildTime.String(),
+			fmt.Sprintf("%d", r.Components),
 			bench.MiB(r.CSRBytes),
 			bench.MiB(r.CBMBytes),
 			fmt.Sprintf("%.2f", r.Ratio),

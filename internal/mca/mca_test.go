@@ -261,3 +261,87 @@ func TestArborescenceReconstructionConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// randomMultigraph draws a directed multigraph over n nodes rooted at
+// root with weights from a tiny range (so ties are everywhere), plus
+// self-loops and parallel edges. With reachable set, every node gets
+// a root edge; otherwise some nodes may be unreachable.
+func randomMultigraph(rng *xrand.RNG, n int, root int32, reachable bool) []Edge {
+	var edges []Edge
+	maxW := 1 + rng.Intn(4)
+	for v := int32(0); int(v) < n; v++ {
+		if v != root && (reachable || rng.Intn(4) != 0) {
+			edges = append(edges, Edge{From: root, To: v, W: int64(rng.Intn(maxW) + maxW)})
+		}
+	}
+	for i := rng.Intn(4*n + 1); i > 0; i-- {
+		from, to := int32(rng.Intn(n)), int32(rng.Intn(n))
+		switch rng.Intn(8) {
+		case 0:
+			to = from // self-loop
+		case 1:
+			if len(edges) > 0 { // parallel copy of an earlier edge
+				e := edges[rng.Intn(len(edges))]
+				from, to = e.From, e.To
+			}
+		}
+		edges = append(edges, Edge{From: from, To: to, W: int64(rng.Intn(maxW))})
+	}
+	return edges
+}
+
+// The Solver must reproduce the reference solver exactly — same parent
+// array (ties broken the same way), same total, same error — on
+// tie-heavy multigraphs, with one Solver reused across all graphs so
+// stale buffers from a larger earlier solve would show up.
+func TestSolverMatchesReference(t *testing.T) {
+	rng := xrand.New(17)
+	var s Solver
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(40)
+		if trial%100 == 0 {
+			n = 200 + rng.Intn(300)
+		}
+		root := int32(rng.Intn(n))
+		edges := randomMultigraph(rng, n, root, trial%5 != 0)
+		wantP, wantT, wantErr := referenceArborescence(n, root, edges)
+		gotP, gotT, gotErr := s.Solve(n, root, edges)
+		if !errors.Is(gotErr, wantErr) {
+			t.Fatalf("trial %d (n=%d): err = %v, reference %v", trial, n, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if gotT != wantT {
+			t.Fatalf("trial %d (n=%d): total = %d, reference %d", trial, n, gotT, wantT)
+		}
+		for v := range wantP {
+			if gotP[v] != wantP[v] {
+				t.Fatalf("trial %d (n=%d): parent[%d] = %d, reference %d", trial, n, v, gotP[v], wantP[v])
+			}
+		}
+	}
+}
+
+// A reused Solver allocates nothing once its buffers have grown to the
+// largest graph it has seen.
+func TestSolverReuseZeroAlloc(t *testing.T) {
+	rng := xrand.New(3)
+	edges := randomMultigraph(rng, 60, 0, true)
+	var s Solver
+	if _, _, err := s.Solve(60, 0, edges); err != nil {
+		t.Fatal(err)
+	}
+	small := randomMultigraph(rng, 20, 0, true)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := s.Solve(20, 0, small); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Solve(60, 0, edges); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reused Solver allocates %.1f times per solve pair", allocs)
+	}
+}
