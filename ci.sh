@@ -45,6 +45,9 @@ go build "$PKGS"
 echo "==> go test $PKGS"
 go test "$PKGS"
 
+echo "==> perfbench module (its own go.mod, so ./... skips it; it compiles against cbm's public API)"
+(cd perfbench && go vet . && go test -count=1 .)
+
 echo "==> go test -race (concurrency-heavy packages)"
 go test -race ./internal/cbm/... ./internal/parallel/... ./internal/kernels/... ./internal/oracle/... ./internal/obs/... ./internal/exec/... ./internal/gnn/... ./internal/clock/... ./internal/reorder/... ./internal/shard/...
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/xrand"
 )
@@ -12,7 +14,7 @@ import (
 // portableTwoStage is the two-stage product written as plain scalar
 // loops with the operation order of the portable kernels: the delta
 // SpMM row by row in stored nonzero order (v == 1 adds, ±0 skips,
-// anything else adds v·b), then the Eq. 6 update branch by branch.
+// anything else adds v·b), then the Eq. 6 update in branch pre-order.
 func portableTwoStage(m *Matrix, b *dense.Matrix) *dense.Matrix {
 	c := dense.New(m.n, b.Cols)
 	for i := 0; i < m.n; i++ {
@@ -30,24 +32,22 @@ func portableTwoStage(m *Matrix, b *dense.Matrix) *dense.Matrix {
 			}
 		}
 	}
-	for _, branch := range m.branches {
-		for _, x := range branch {
-			p, row := m.parent[x], c.Row(int(x))
-			switch {
-			case m.kind != KindDAD && p >= 0:
-				prow := c.Row(int(p))
-				for j := range row {
-					row[j] += prow[j]
-				}
-			case m.kind == KindDAD && p < 0:
-				for j := range row {
-					row[j] *= m.diag[x]
-				}
-			case m.kind == KindDAD:
-				prow, dx, s := c.Row(int(p)), m.diag[x], m.diag[x]/m.diag[p]
-				for j := range row {
-					row[j] = s*prow[j] + dx*row[j]
-				}
+	for _, x := range m.order {
+		p, row := m.parent[x], c.Row(int(x))
+		switch {
+		case m.kind != KindDAD && p >= 0:
+			prow := c.Row(int(p))
+			for j := range row {
+				row[j] += prow[j]
+			}
+		case m.kind == KindDAD && p < 0:
+			for j := range row {
+				row[j] *= m.diag[x]
+			}
+		case m.kind == KindDAD:
+			prow, dx, s := c.Row(int(p)), m.diag[x], m.diag[x]/m.diag[p]
+			for j := range row {
+				row[j] = s*prow[j] + dx*row[j]
 			}
 		}
 	}
@@ -127,8 +127,53 @@ func TestTwoStageBitwisePortable(t *testing.T) {
 	}
 }
 
+// TestTwoStageBlockScheduleBitwise checks the parallel update's blocks
+// of whole branches on a tree built by hand: one 300-row chain, longer
+// than a block, ahead of 200 branches of one to three rows that share
+// blocks. Every thread count must give the scalar two-stage product,
+// which a block run twice or skipped would break.
+func TestTwoStageBlockScheduleBitwise(t *testing.T) {
+	rng := xrand.New(21)
+	const chain, small = 300, 200
+	var parent []int32
+	for x := 0; x < chain; x++ {
+		parent = append(parent, int32(x-1))
+	}
+	for i := 0; i < small; i++ {
+		root := int32(len(parent))
+		parent = append(parent, -1)
+		for k := rng.Intn(3); k > 0; k-- {
+			parent = append(parent, root)
+		}
+	}
+	n := len(parent)
+	delta := randomBinary(rng, n, 0.01, false)
+	for k := range delta.Vals {
+		delta.Vals[k] = []float32{1, -1}[rng.Intn(2)]
+	}
+	for _, m := range []*Matrix{
+		{n: n, kind: KindA, delta: delta, parent: parent},
+		{n: n, kind: KindDAD, delta: delta, parent: parent, diag: randomDiag(rng, n)},
+	} {
+		m.order, m.branchOff = branchDecompose(parent)
+		for _, width := range []int{8, 33} {
+			b := randomDense(rng, n, width)
+			want := portableTwoStage(m, b)
+			for _, threads := range []int{1, 2, 4} {
+				c := dense.New(n, width)
+				m.MulToStrategy(c, b, threads, StrategyBranch)
+				for i, v := range c.Data {
+					if !sameBits(v, want.Data[i]) {
+						t.Fatalf("%v n=%d threads=%d: element %d = %v, scalar %v", m.kind, width, threads, i, v, want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestTwoStageZeroAlloc pins the 1-thread two-stage plan of every kind
-// as allocation-free.
+// as allocation-free, at widths with and without a tail.
 func TestTwoStageZeroAlloc(t *testing.T) {
 	rng := xrand.New(4)
 	a := synth.SBMGroups(240, 12, 0.9, 0.3, 4)
@@ -137,11 +182,49 @@ func TestTwoStageZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := randomDiag(rng, a.Rows)
-	b := randomDense(rng, a.Rows, 37)
-	c := dense.New(a.Rows, 37)
-	for _, m := range []*Matrix{base, base.WithColumnScale(d), base.WithSymmetricScale(d)} {
-		if allocs := testing.AllocsPerRun(20, func() { m.MulToStrategy(c, b, 1, StrategyBranch) }); allocs != 0 {
-			t.Fatalf("%v: two-stage MulTo allocates %v times per call, want 0", m.Kind(), allocs)
+	for _, n := range []int{32, 33, 37} {
+		b := randomDense(rng, a.Rows, n)
+		c := dense.New(a.Rows, n)
+		for _, m := range []*Matrix{base, base.WithColumnScale(d), base.WithSymmetricScale(d)} {
+			if allocs := testing.AllocsPerRun(20, func() { m.MulToStrategy(c, b, 1, StrategyBranch) }); allocs != 0 {
+				t.Fatalf("%v n=%d: two-stage MulTo allocates %v times per call, want 0", m.Kind(), n, allocs)
+			}
+		}
+	}
+}
+
+// TestMulStageLedger pins the stage spans one multiply records through
+// its context's sink, which the per-layer split of a request is built
+// from: the two-stage plan records StageSpMM and StageUpdate once each,
+// the CSR plan StageSpMM only, at 1 and 2 threads.
+func TestMulStageLedger(t *testing.T) {
+	if !obs.Enabled() {
+		obs.Enable()
+		defer obs.Disable()
+	}
+	rng := xrand.New(9)
+	a := synth.SBMGroups(240, 12, 0.9, 0.3, 9)
+	base, _, err := Compress(a, Options{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := randomDense(rng, a.Rows, 32)
+	c := dense.New(a.Rows, 32)
+	for _, m := range []*Matrix{base, base.WithSymmetricScale(randomDiag(rng, a.Rows))} {
+		for _, threads := range []int{1, 2} {
+			for _, plan := range []struct {
+				strat   UpdateStrategy
+				updates int64
+			}{{StrategyBranch, 1}, {StrategyCSR, 0}} {
+				rec := obs.NewRecorder()
+				m.MulToStrategyCtx(exec.NewWithSink(threads, rec), c, b, plan.strat)
+				spmm, _ := rec.StageTotals(obs.StageSpMM)
+				update, _ := rec.StageTotals(obs.StageUpdate)
+				if spmm != 1 || update != plan.updates {
+					t.Fatalf("%v %v threads=%d: %d spmm and %d update spans, want 1 and %d",
+						m.Kind(), plan.strat, threads, spmm, update, plan.updates)
+				}
+			}
 		}
 	}
 }

@@ -99,12 +99,16 @@ func (s BuildStats) Total() time.Duration {
 
 // Matrix is a binary (or scaled-binary) matrix in CBM format.
 type Matrix struct {
-	n        int
-	kind     Kind
-	delta    *sparse.CSR // A' (values ±1) or (AD)' (values ±d_j)
-	parent   []int32     // parent row per row; −1 = virtual root
-	branches [][]int32   // pre-order node lists of the root's subtrees
-	diag     []float32   // DAD only: the diagonal d
+	n      int
+	kind   Kind
+	delta  *sparse.CSR // A' (values ±1) or (AD)' (values ±d_j)
+	parent []int32     // parent row per row; −1 = virtual root
+	diag   []float32   // DAD only: the diagonal d
+
+	// The root's subtrees in pre-order, concatenated largest-first:
+	// branch bi is order[branchOff[bi]:branchOff[bi+1]] (branchDecompose).
+	order     []int32
+	branchOff []int32
 
 	// CSR-plan source: the original binary matrix and the diagonal
 	// scales of the represented factorization, kept so MulTo can bypass
@@ -185,14 +189,8 @@ func (b *Builder) Compress(alpha int, forceMCA bool) (*Matrix, BuildStats, error
 	delta := buildDeltaMatrix(b.a, parent, b.threads)
 	stats.DeltaTime = buildClock.Now().Sub(deltaStart)
 
-	m := &Matrix{
-		n:        n,
-		kind:     KindA,
-		delta:    delta,
-		parent:   parent,
-		branches: branchDecompose(parent),
-		src:      b.a,
-	}
+	m := &Matrix{n: n, kind: KindA, delta: delta, parent: parent, src: b.a}
+	m.order, m.branchOff = branchDecompose(parent)
 	return m, stats, nil
 }
 
@@ -314,14 +312,14 @@ func (m *Matrix) Parent(x int) int { return int(m.parent[x]) }
 
 // NumBranches returns the root fan-out — the degree of parallelism of
 // the update stage.
-func (m *Matrix) NumBranches() int { return len(m.branches) }
+func (m *Matrix) NumBranches() int { return len(m.branchOff) - 1 }
 
 // BranchSizes returns the node count of every virtual-root subtree,
 // largest first — the unit-of-work sizes of the parallel update stage.
 func (m *Matrix) BranchSizes() []int {
-	sizes := make([]int, len(m.branches))
-	for i, b := range m.branches {
-		sizes[i] = len(b)
+	sizes := make([]int, m.NumBranches())
+	for i := range sizes {
+		sizes[i] = int(m.branchOff[i+1] - m.branchOff[i])
 	}
 	return sizes
 }
@@ -391,13 +389,14 @@ func (m *Matrix) WithColumnScale(d []float32) *Matrix {
 	dc := make([]float32, len(d))
 	copy(dc, d)
 	out := &Matrix{
-		n:        m.n,
-		kind:     KindAD,
-		delta:    m.delta.ScaleCols(d),
-		parent:   m.parent,
-		branches: m.branches,
-		src:      m.src,
-		srcRight: dc,
+		n:         m.n,
+		kind:      KindAD,
+		delta:     m.delta.ScaleCols(d),
+		parent:    m.parent,
+		order:     m.order,
+		branchOff: m.branchOff,
+		src:       m.src,
+		srcRight:  dc,
 	}
 	return out
 }
@@ -415,15 +414,16 @@ func (m *Matrix) WithSymmetricScale(d []float32) *Matrix {
 	dc := make([]float32, len(d))
 	copy(dc, d)
 	out := &Matrix{
-		n:        m.n,
-		kind:     KindDAD,
-		delta:    m.delta.ScaleCols(d),
-		parent:   m.parent,
-		branches: m.branches,
-		diag:     dc,
-		src:      m.src,
-		srcLeft:  dc,
-		srcRight: dc,
+		n:         m.n,
+		kind:      KindDAD,
+		delta:     m.delta.ScaleCols(d),
+		parent:    m.parent,
+		order:     m.order,
+		branchOff: m.branchOff,
+		diag:      dc,
+		src:       m.src,
+		srcLeft:   dc,
+		srcRight:  dc,
 	}
 	return out
 }
@@ -446,15 +446,16 @@ func (m *Matrix) WithScales(left, right []float32) *Matrix {
 	rc := make([]float32, len(right))
 	copy(rc, right)
 	out := &Matrix{
-		n:        m.n,
-		kind:     KindDAD,
-		delta:    m.delta.ScaleCols(right),
-		parent:   m.parent,
-		branches: m.branches,
-		diag:     lc,
-		src:      m.src,
-		srcLeft:  lc,
-		srcRight: rc,
+		n:         m.n,
+		kind:      KindDAD,
+		delta:     m.delta.ScaleCols(right),
+		parent:    m.parent,
+		order:     m.order,
+		branchOff: m.branchOff,
+		diag:      lc,
+		src:       m.src,
+		srcLeft:   lc,
+		srcRight:  rc,
 	}
 	return out
 }
@@ -465,42 +466,40 @@ func (m *Matrix) WithScales(left, right []float32) *Matrix {
 // scaled matrix.
 func (m *Matrix) ToCSR() *sparse.CSR {
 	rows := make([][]int32, m.n)
-	// Reconstruct row supports branch by branch in pre-order, so each
-	// parent is materialized before its children.
-	for _, branch := range m.branches {
-		for _, x := range branch {
-			p := m.parent[x]
-			dcols := m.delta.RowCols(int(x))
-			if p < 0 {
-				r := make([]int32, len(dcols))
-				copy(r, dcols)
-				rows[x] = r
-				continue
-			}
-			pr := rows[p]
-			r := make([]int32, 0, len(pr)+len(dcols))
-			i, j := 0, 0
-			for i < len(pr) && j < len(dcols) {
-				switch {
-				case pr[i] < dcols[j]:
-					r = append(r, pr[i])
-					i++
-				case pr[i] > dcols[j]:
-					// a +delta inserts a column the parent lacks
-					r = append(r, dcols[j])
-					j++
-				default:
-					// a −delta removes the parent's column
-					i++
-					j++
-				}
-			}
-			r = append(r, pr[i:]...)
-			for ; j < len(dcols); j++ {
-				r = append(r, dcols[j])
-			}
+	// Reconstruct row supports in branch pre-order, so each parent is
+	// materialized before its children.
+	for _, x := range m.order {
+		p := m.parent[x]
+		dcols := m.delta.RowCols(int(x))
+		if p < 0 {
+			r := make([]int32, len(dcols))
+			copy(r, dcols)
 			rows[x] = r
+			continue
 		}
+		pr := rows[p]
+		r := make([]int32, 0, len(pr)+len(dcols))
+		i, j := 0, 0
+		for i < len(pr) && j < len(dcols) {
+			switch {
+			case pr[i] < dcols[j]:
+				r = append(r, pr[i])
+				i++
+			case pr[i] > dcols[j]:
+				// a +delta inserts a column the parent lacks
+				r = append(r, dcols[j])
+				j++
+			default:
+				// a −delta removes the parent's column
+				i++
+				j++
+			}
+		}
+		r = append(r, pr[i:]...)
+		for ; j < len(dcols); j++ {
+			r = append(r, dcols[j])
+		}
+		rows[x] = r
 	}
 	out := sparse.FromAdjacency(m.n, m.n, rows)
 	switch m.kind {
@@ -528,5 +527,5 @@ func (m *Matrix) Describe() string {
 		}
 	}
 	return fmt.Sprintf("cbm.Matrix{kind=%s n=%d deltas=%d treeEdges=%d rootChildren=%d branches=%d bytes=%d}",
-		m.kind, m.n, m.delta.NNZ(), real, virtual, len(m.branches), m.FootprintBytes())
+		m.kind, m.n, m.delta.NNZ(), real, virtual, m.NumBranches(), m.FootprintBytes())
 }

@@ -318,7 +318,7 @@ func TestBranchesCoverAllRowsExactlyOnce(t *testing.T) {
 		}
 		seen := make([]int, n)
 		for bi := 0; bi < m.NumBranches(); bi++ {
-			for _, x := range m.branches[bi] {
+			for _, x := range m.order[m.branchOff[bi]:m.branchOff[bi+1]] {
 				seen[x]++
 			}
 		}
@@ -331,11 +331,9 @@ func TestBranchesCoverAllRowsExactlyOnce(t *testing.T) {
 		// pre-order: parent appears before child within a branch
 		pos := make([]int, n)
 		idx := 0
-		for _, br := range m.branches {
-			for _, x := range br {
-				pos[x] = idx
-				idx++
-			}
+		for _, x := range m.order {
+			pos[x] = idx
+			idx++
 		}
 		for x := 0; x < n; x++ {
 			if p := m.Parent(x); p >= 0 && pos[p] >= pos[x] {
@@ -445,16 +443,16 @@ func TestTreeDepthChainAndStar(t *testing.T) {
 func TestBranchDecomposeShapes(t *testing.T) {
 	// two branches: {0,1,2} (0←1←2) and {3,4} (3←4)
 	parent := []int32{-1, 0, 1, -1, 3}
-	branches := branchDecompose(parent)
-	if len(branches) != 2 {
-		t.Fatalf("branches = %d, want 2", len(branches))
+	order, off := branchDecompose(parent)
+	if len(off) != 3 || len(order) != len(parent) {
+		t.Fatalf("branch offsets %v over %d rows, want 2 branches over %d", off, len(order), len(parent))
 	}
 	// largest first
-	if len(branches[0]) != 3 || len(branches[1]) != 2 {
-		t.Fatalf("branch sizes %d, %d", len(branches[0]), len(branches[1]))
+	if off[1]-off[0] != 3 || off[2]-off[1] != 2 {
+		t.Fatalf("branch sizes %d, %d", off[1]-off[0], off[2]-off[1])
 	}
-	if branches[0][0] != 0 || branches[1][0] != 3 {
-		t.Fatalf("branch roots %d, %d", branches[0][0], branches[1][0])
+	if order[off[0]] != 0 || order[off[1]] != 3 {
+		t.Fatalf("branch roots %d, %d", order[off[0]], order[off[1]])
 	}
 }
 

@@ -91,14 +91,8 @@ func CompressClustered(a *sparse.CSR, opt Options, copt ClusterOptions) (*Matrix
 	delta := buildDeltaMatrix(a, parent, opt.Threads)
 	stats.DeltaTime = buildClock.Now().Sub(deltaStart)
 
-	m := &Matrix{
-		n:        a.Rows,
-		kind:     KindA,
-		delta:    delta,
-		parent:   parent,
-		branches: branchDecompose(parent),
-		src:      a,
-	}
+	m := &Matrix{n: a.Rows, kind: KindA, delta: delta, parent: parent, src: a}
+	m.order, m.branchOff = branchDecompose(parent)
 	return m, stats, cstats, nil
 }
 

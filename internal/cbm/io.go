@@ -116,14 +116,10 @@ func Decode(r io.Reader) (*Matrix, error) {
 			}
 		}
 	}
-	m.branches = branchDecompose(parent)
+	m.order, m.branchOff = branchDecompose(parent)
 	// A corrupt parent array could encode a cycle, which the branch
 	// decomposition would silently drop; verify full coverage.
-	covered := 0
-	for _, b := range m.branches {
-		covered += len(b)
-	}
-	if covered != n {
+	if covered := len(m.order); covered != n {
 		return nil, fmt.Errorf("cbm: parent pointers contain a cycle (%d of %d rows reachable)", covered, n)
 	}
 	return m, nil

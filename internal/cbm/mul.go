@@ -8,9 +8,11 @@
 //  2. Update stage: the compression tree is traversed in topological
 //     order; each visited row accumulates its parent's finished row
 //     (an axpy), with the extra d_x/d_parent row scaling for DAD
-//     matrices (Eq. 6). Branches hanging off the virtual root are
-//     independent, so the parallel variant distributes whole branches
-//     to threads with dynamic scheduling.
+//     matrices (Eq. 6), in kernels.TreeUpdate. Branches hanging off
+//     the virtual root are independent, so the parallel variant
+//     distributes blocks of whole branches to threads with dynamic
+//     scheduling, one kernel call per block; sequentially one call
+//     covers them all.
 //
 // Property 3 holds: no scratch proportional to the matrix size is
 // allocated; everything happens in the output matrix C.
@@ -19,8 +21,8 @@ package cbm
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/blas"
 	"repro/internal/dense"
 	"repro/internal/exec"
 	"repro/internal/kernels"
@@ -91,18 +93,31 @@ func (m *Matrix) mulTwoStage(c, b *dense.Matrix, threads int, sink obs.Sink) {
 	kernels.SpMMToSink(c, m.delta, b, threads, sink)
 	// Closure-free sequential fast path: the obs.DoWith closure
 	// allocates at this call site even when the update then runs
-	// inline, which the zero-allocation serving path cannot afford.
-	if parallel.Sequential(threads, len(m.branches)) {
+	// inline, which the zero-allocation serving path cannot afford. The
+	// branches are stored back to back, so one kernel call updates them
+	// all.
+	if parallel.Sequential(threads, m.NumBranches()) {
 		sp := sink.Begin(obs.StageUpdate)
-		for _, branch := range m.branches {
-			m.updateBranch(c, branch)
-		}
+		m.updateRows(c, m.order)
 		sp.End()
 		return
 	}
+	// Blocks of whole branches, about grain rows each, the SpMM's row
+	// grain: block k is the branches whose first row sits in
+	// m.order[k·grain : (k+1)·grain], so a branch longer than grain is
+	// a block on its own (the blocks inside it are empty) and short
+	// branches share one kernel call.
+	grain := m.n / (8 * parallel.EffectiveThreads(threads, m.NumBranches()))
+	if grain < 16 {
+		grain = 16
+	}
 	obs.DoWith(sink, obs.StageUpdate, func() {
-		parallel.ForDynamic(len(m.branches), threads, 1, func(bi int) {
-			m.updateBranch(c, m.branches[bi])
+		parallel.ForDynamic((m.n+grain-1)/grain, threads, 1, func(k int) {
+			lo, _ := slices.BinarySearch(m.branchOff, int32(k*grain))
+			hi, _ := slices.BinarySearch(m.branchOff, int32(min((k+1)*grain, m.n)))
+			if lo < hi {
+				m.updateRows(c, m.order[m.branchOff[lo]:m.branchOff[hi]])
+			}
 		})
 	})
 }
@@ -126,36 +141,20 @@ func (m *Matrix) mulCSR(c, b *dense.Matrix, threads int, sink obs.Sink) {
 	kernels.SpMMDiagTo(c, m.src, b, m.srcLeft, m.srcRight, threads, sink)
 }
 
-// updateBranch applies the update stage to one root subtree, whose
-// nodes arrive in pre-order (each parent strictly before its children).
+// updateRows applies the update stage (Eq. 6) to a run of whole
+// branches in pre-order, each parent strictly before its children.
 //
 //cbm:hotpath
-func (m *Matrix) updateBranch(c *dense.Matrix, branch []int32) {
+func (m *Matrix) updateRows(c *dense.Matrix, rows []int32) {
+	var diag []float32
 	switch m.kind {
 	case KindA, KindAD:
-		for _, x := range branch {
-			p := m.parent[x]
-			if p < 0 {
-				continue // virtual parent row is zero: nothing to add
-			}
-			blas.Add(c.Row(int(p)), c.Row(int(x)))
-		}
 	case KindDAD:
-		d := m.diag
-		for _, x := range branch {
-			p := m.parent[x]
-			row := c.Row(int(x))
-			if p < 0 {
-				// Eq. 6 with a virtual parent: u_x = d_x · ((AD)'B)_x.
-				blas.Scal(d[x], row)
-				continue
-			}
-			// u_x = d_x·(u_p/d_p + ((AD)'B)_x), fused into one pass.
-			blas.AxpbyTo(row, d[x]/d[p], c.Row(int(p)), d[x], row)
-		}
+		diag = m.diag
 	default:
 		panic(kindPanicMsg(m.kind, m.n))
 	}
+	kernels.TreeUpdate(c, rows, m.parent, diag)
 }
 
 // UpdateStrategy names an execution plan: MulTo picks one through

@@ -210,9 +210,12 @@ func buildTreeMCA(a *sparse.CSR, cand [][]candidate, alpha, threads int) (parent
 // dependency-respecting traversal the update stage needs. Children of
 // the virtual root carry no update dependency (the virtual row is
 // zero), so the branches are mutually independent — they are the unit
-// of parallelism of Sec. V-B. Branches are returned largest-first so
-// dynamic scheduling balances well.
-func branchDecompose(parent []int32) [][]int32 {
+// of parallelism of Sec. V-B. The branches are concatenated
+// largest-first (ties in root order), so dynamic scheduling balances
+// well, into one array: branch bi is order[off[bi]:off[bi+1]]. Rows on
+// a parent cycle are reachable from no root and appear nowhere, which
+// Decode uses to reject corrupt trees.
+func branchDecompose(parent []int32) (order, off []int32) {
 	n := len(parent)
 	// children lists in CSR-ish layout
 	childCnt := make([]int32, n+1)
@@ -238,21 +241,34 @@ func branchDecompose(parent []int32) [][]int32 {
 	}
 	children := func(u int32) []int32 { return childBuf[childCnt[u]:childCnt[u+1]] }
 
-	branches := make([][]int32, 0, len(roots))
+	// Pre-order every branch in root order, then copy the branches out
+	// largest-first.
+	walk := make([]int32, 0, n)
+	start := make([]int32, len(roots)+1)
 	stack := make([]int32, 0, 64)
-	for _, r := range roots {
-		branch := make([]int32, 0, 8)
+	for i, r := range roots {
 		stack = append(stack[:0], r)
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			branch = append(branch, u)
+			walk = append(walk, u)
 			stack = append(stack, children(u)...)
 		}
-		branches = append(branches, branch)
+		start[i+1] = int32(len(walk))
 	}
-	sort.SliceStable(branches, func(i, j int) bool { return len(branches[i]) > len(branches[j]) })
-	return branches
+	size := func(i int) int32 { return start[i+1] - start[i] }
+	byLen := make([]int, len(roots))
+	for i := range byLen {
+		byLen[i] = i
+	}
+	sort.SliceStable(byLen, func(i, j int) bool { return size(byLen[i]) > size(byLen[j]) })
+	order = make([]int32, 0, len(walk))
+	off = make([]int32, 1, len(roots)+1)
+	for _, i := range byLen {
+		order = append(order, walk[start[i]:start[i+1]]...)
+		off = append(off, int32(len(order)))
+	}
+	return order, off
 }
 
 // treeDepth returns the longest root-to-leaf edge count in the

@@ -2,10 +2,12 @@ package kernels
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/dense"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
@@ -209,17 +211,204 @@ func TestSpMMBitwisePortable(t *testing.T) {
 }
 
 // TestSpMMZeroAlloc pins the 1-thread serving path: neither CSR entry
-// point may allocate, with or without diagonals.
+// point may allocate, with or without diagonals, at widths with and
+// without a tail.
 func TestSpMMZeroAlloc(t *testing.T) {
 	rng := xrand.New(3)
 	s := randomCSR(rng, 200, 200, 0.05, false)
-	b := randomDense(rng, 200, 37)
-	c := dense.New(200, 37)
 	d := bitwiseDiag(rng, 200)
-	if allocs := testing.AllocsPerRun(20, func() { SpMMTo(c, s, b, 1) }); allocs != 0 {
-		t.Fatalf("SpMMTo allocates %v times per call, want 0", allocs)
+	for _, n := range []int{32, 33, 37} {
+		b := randomDense(rng, 200, n)
+		c := dense.New(200, n)
+		if allocs := testing.AllocsPerRun(20, func() { SpMMTo(c, s, b, 1) }); allocs != 0 {
+			t.Fatalf("n=%d: SpMMTo allocates %v times per call, want 0", n, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { SpMMDiagTo(c, s, b, d, d, 1, obs.Global) }); allocs != 0 {
+			t.Fatalf("n=%d: SpMMDiagTo allocates %v times per call, want 0", n, allocs)
+		}
 	}
-	if allocs := testing.AllocsPerRun(20, func() { SpMMDiagTo(c, s, b, d, d, 1, obs.Global) }); allocs != 0 {
-		t.Fatalf("SpMMDiagTo allocates %v times per call, want 0", allocs)
+}
+
+// rangeCSR builds a rows×cols CSR with sorted distinct columns: the
+// rows empty(i) selects hold no entries, every other row 1 to maxNNZ.
+func rangeCSR(rng *xrand.RNG, rows, cols, maxNNZ int, empty func(i int) bool, val func() float32) *sparse.CSR {
+	s := &sparse.CSR{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1)}
+	for i := 0; i < rows; i++ {
+		if !empty(i) {
+			js := rng.Perm(cols)[:1+rng.Intn(maxNNZ)]
+			sort.Ints(js)
+			for _, j := range js {
+				s.ColIdx = append(s.ColIdx, int32(j))
+				s.Vals = append(s.Vals, val())
+			}
+		}
+		s.RowPtr[i+1] = int32(len(s.ColIdx))
+	}
+	return s
+}
+
+// TestSpMMRowsBitwisePortable checks the row-range kernel itself
+// against spmmRowPortable: a range overwrites exactly its own rows,
+// bitwise equal to the portable loop, and leaves every other row's bits
+// alone. Ranges cover lo == hi (at the start, inside and at the end), a
+// single row, the last row, a run of empty rows and the whole matrix;
+// operands cover every value family of the SpMM property test, every
+// nil/non-nil diagonal pair and widths around the strip blocking.
+func TestSpMMRowsBitwisePortable(t *testing.T) {
+	const rows, inner, maxNNZ = 19, 23, 7
+	empty := func(i int) bool { return (i >= 4 && i <= 6) || i == 12 }
+	ranges := [][2]int{{0, 0}, {9, 9}, {rows, rows}, {0, 1}, {8, 9}, {rows - 1, rows}, {4, 7}, {3, 14}, {0, rows}}
+	const sentinel = float32(-7.25)
+	rng := xrand.New(18)
+	for _, tc := range spmmBitwiseCases {
+		for _, n := range []int{1, 7, 8, 9, 16, 24, 31, 32, 33, 40} {
+			s := rangeCSR(rng, rows, inner, maxNNZ, empty, func() float32 { return tc.val(rng) })
+			b := dense.New(inner, n)
+			rng.FillUniform(b.Data)
+			if tc.fill != nil {
+				tc.fill(rng, s, b)
+			}
+			diags := []struct {
+				name        string
+				left, right []float32
+			}{
+				{"nil/nil", nil, nil},
+				{"nil/right", nil, bitwiseDiag(rng, inner)},
+				{"left/nil", bitwiseDiag(rng, rows), nil},
+				{"left/right", bitwiseDiag(rng, rows), bitwiseDiag(rng, inner)},
+			}
+			for _, d := range diags {
+				want := portableSpMMDiag(s, b, d.left, d.right)
+				for _, r := range ranges {
+					c := dense.New(rows, n)
+					for i := range c.Data {
+						c.Data[i] = sentinel
+					}
+					spmmRows(c, s, b, d.left, d.right, r[0], r[1])
+					for i := 0; i < rows; i++ {
+						for j, v := range c.Row(i) {
+							inRange := i >= r[0] && i < r[1]
+							if inRange && !sameBits(v, want.At(i, j)) ||
+								!inRange && math.Float32bits(v) != math.Float32bits(sentinel) {
+								t.Fatalf("%s %s n=%d rows [%d,%d): c[%d,%d] = %v (bits %#x), portable %v, in range %v",
+									tc.name, d.name, n, r[0], r[1], i, j, v, math.Float32bits(v), want.At(i, j), inRange)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// treeValue draws an element for the update-kernel tests: mostly
+// ordinary values, plus ±0, ±1, ±Inf and NaNs with random sign and
+// payload, so a kernel that swaps the operands of an add or a multiply
+// shows up in the NaN it propagates.
+func treeValue(rng *xrand.RNG) float32 {
+	switch rng.Intn(16) {
+	case 0:
+		return []float32{0, negZero}[rng.Intn(2)]
+	case 1:
+		return []float32{1, -1}[rng.Intn(2)]
+	case 2:
+		return []float32{posInf, negInf}[rng.Intn(2)]
+	case 3:
+		return math.Float32frombits(uint32(rng.Uint64())&0x803fffff | 0x7fc00000)
+	default:
+		return rng.Float32()*4 - 2
+	}
+}
+
+// bitwiseTree builds a random compression tree over n rows whose first
+// chain positions form one path of depth chain; every other position
+// hangs off the virtual root or off a random earlier position. A random
+// permutation maps positions to row ids, so parents sit both above and
+// below their children in c. It returns the parent pointers and the
+// branches (one per virtual-root child, in pre-order).
+func bitwiseTree(rng *xrand.RNG, n, chain int) (parent []int32, branches [][]int32) {
+	id := rng.Perm(n)
+	parent = make([]int32, n)
+	root := make([]int, n) // branch index of every position
+	for pos := 0; pos < n; pos++ {
+		pp := -1
+		switch {
+		case pos < chain:
+			pp = pos - 1
+		case rng.Intn(5) != 0:
+			pp = rng.Intn(pos)
+		}
+		if pp < 0 {
+			parent[id[pos]] = -1
+			root[pos] = len(branches)
+			branches = append(branches, nil)
+		} else {
+			parent[id[pos]] = int32(id[pp])
+			root[pos] = root[pp]
+		}
+		// Positions grow, so every parent is listed before its children.
+		branches[root[pos]] = append(branches[root[pos]], int32(id[pos]))
+	}
+	return parent, branches
+}
+
+// TestTreeUpdateBitwisePortable checks the tree-update kernel against
+// its portable twin for A/AD (no diagonal) and DAD rows: a chain of
+// depth 70 plus a random forest, so runs mix virtual-root rows, deep
+// dependencies and parents stored on either side of their children,
+// with ±0, ±1, ±Inf and NaN payloads in c and in the diagonal. Bits are
+// compared exactly, NaNs included: the kernel keeps the operand order
+// of the blas kernels the twin calls, in the same binary. The run is
+// updated in one call (one thread) and branch by branch on 2 and 4
+// threads; an empty run must change nothing.
+func TestTreeUpdateBitwisePortable(t *testing.T) {
+	t.Logf("AVX kernel in use: %v", useAVX)
+	const n, chain = 150, 70
+	rng := xrand.New(6)
+	parent, branches := bitwiseTree(rng, n, chain)
+	var all []int32
+	for _, br := range branches {
+		all = append(all, br...)
+	}
+	diag := make([]float32, n)
+	for i := range diag {
+		diag[i] = treeValue(rng)
+	}
+	for _, width := range []int{1, 7, 8, 9, 16, 24, 31, 32, 33, 40} {
+		c0 := dense.New(n, width)
+		for i := range c0.Data {
+			c0.Data[i] = treeValue(rng)
+		}
+		for _, kind := range []struct {
+			name string
+			diag []float32
+		}{{"A/AD", nil}, {"DAD", diag}} {
+			empty := c0.Clone()
+			TreeUpdate(empty, nil, parent, kind.diag)
+			for i, v := range empty.Data {
+				if math.Float32bits(v) != math.Float32bits(c0.Data[i]) {
+					t.Fatalf("%s n=%d: an empty run changed element %d", kind.name, width, i)
+				}
+			}
+			want := c0.Clone()
+			treeUpdatePortable(want, all, parent, kind.diag, 0)
+			for _, threads := range []int{1, 2, 4} {
+				got := c0.Clone()
+				if threads == 1 {
+					TreeUpdate(got, all, parent, kind.diag)
+				} else {
+					parallel.ForDynamic(len(branches), threads, 1, func(bi int) {
+						TreeUpdate(got, branches[bi], parent, kind.diag)
+					})
+				}
+				for i, v := range got.Data {
+					if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("%s n=%d threads=%d: row %d col %d = %v (bits %#x), portable %v (bits %#x)",
+							kind.name, width, threads, i/width, i%width, v, math.Float32bits(v),
+							want.Data[i], math.Float32bits(want.Data[i]))
+					}
+				}
+			}
+		}
 	}
 }

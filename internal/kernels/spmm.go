@@ -6,11 +6,13 @@
 // the CBM format (applied to the delta matrix), so speedup comparisons
 // isolate the effect of the format, exactly as in the paper.
 //
-// SpMMTo and SpMMDiagTo share one row function. On amd64 with AVX it
-// keeps each 8-column strip of an output row in a YMM register across
-// all of the row's nonzeros and stores it once; the n mod 8 tail
-// columns, and every column off amd64, run the portable loop, which is
-// the reference the AVX kernel matches bit for bit.
+// SpMMTo and SpMMDiagTo share one row-range function. On amd64 with
+// AVX one assembly call covers a whole block of rows, keeping each
+// 8-column strip of an output row in a YMM register across all of the
+// row's nonzeros and storing it once; the n mod 8 tail columns, and
+// every column off amd64, run the portable loop, which is the reference
+// the AVX kernel matches bit for bit. TreeUpdate is the same idea for
+// the CBM update stage: one call per run of tree rows.
 package kernels
 
 import (
@@ -89,26 +91,24 @@ func SpMMDiagTo(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []f
 	spmmDiag(c, s, b, left, right, threads, sink)
 }
 
-// spmmDiag runs spmmRow over every output row of
+// spmmDiag runs spmmRows over every output row of
 // c = diag(left)·s·diag(right)·b, shapes already checked. Rows of the
-// output are distributed to threads in dynamically scheduled chunks so
-// skewed degree distributions balance.
+// output are distributed to threads in dynamically scheduled blocks so
+// skewed degree distributions balance; each block is one spmmRows call.
 //
 //cbm:hotpath
 func spmmDiag(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []float32, threads int, sink obs.Sink) {
 	sink.Inc(obs.CounterSpMMCalls)
-	// Sequential fast path: run the row loop inline, with a plain
-	// Begin/End span instead of the obs.Do closure — both the loop-body
-	// and the Do closures heap-allocate at this call site even when the
-	// schedule is single-threaded, which the zero-allocation serving
-	// path cannot afford. (Tradeoff: no pprof stage label here; labels
-	// exist to attribute pool-worker samples, which a sequential run
-	// does not have.)
+	// Sequential fast path: the whole row range in one call, with a
+	// plain Begin/End span instead of the obs.Do closure — both the
+	// loop-body and the Do closures heap-allocate at this call site even
+	// when the schedule is single-threaded, which the zero-allocation
+	// serving path cannot afford. (Tradeoff: no pprof stage label here;
+	// labels exist to attribute pool-worker samples, which a sequential
+	// run does not have.)
 	if parallel.Sequential(threads, s.Rows) {
 		sp := sink.Begin(obs.StageSpMM)
-		for i := 0; i < s.Rows; i++ {
-			spmmRow(c, s, b, left, right, i)
-		}
+		spmmRows(c, s, b, left, right, 0, s.Rows)
 		sp.End()
 		return
 	}
@@ -121,9 +121,11 @@ func spmmDiag(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []flo
 	if grain < 16 {
 		grain = 16
 	}
+	nblocks := (s.Rows + grain - 1) / grain
 	obs.DoWith(sink, obs.StageSpMM, func() {
-		parallel.ForDynamic(s.Rows, threads, grain, func(i int) {
-			spmmRow(c, s, b, left, right, i)
+		parallel.ForDynamic(nblocks, threads, 1, func(blk int) {
+			lo := blk * grain
+			spmmRows(c, s, b, left, right, lo, min(lo+grain, s.Rows))
 		})
 	})
 }

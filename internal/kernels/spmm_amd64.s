@@ -1,12 +1,19 @@
 #include "textflag.h"
 
-// func spmmRowAVX(c, b *float32, cols *int32, vals, right *float32, nnz, n, strips int, left float32)
+// The float32 1.0 spmmRowsAVX scales by when there is no left diagonal.
+DATA spmmOne<>+0(SB)/4, $0x3f800000
+GLOBL spmmOne<>(SB), RODATA|NOPTR, $4
+
+// func spmmRowsAVX(c, b *float32, rowptr, cols *int32, vals, right, left *float32, lo, hi, n, strips int)
 //
-// Computes the first 8·strips columns of one CSR output row,
-// c[j] = left · (+0 + v[0]·b[cols[0],j] + … + v[nnz-1]·b[cols[nnz-1],j]),
-// where v[k] = vals[k]·right[cols[k]], or vals[k] when right is nil, and
-// b is row-major with n columns. Each 8-column strip stays in one YMM
-// accumulator across all of the row's nonzeros and is stored once:
+// Computes the first 8·strips columns of CSR output rows [lo, hi),
+// c[i,j] = left[i] · (+0 + v[0]·b[cols[0],j] + … + v[m-1]·b[cols[m-1],j])
+// over row i's nonzeros rowptr[i] ≤ k < rowptr[i+1], where
+// v[k] = vals[k]·right[cols[k]], or vals[k] when right is nil, and c
+// and b are row-major with n columns. left[i] is 1, from spmmOne, when
+// left is nil. The loop over rows lives here so a whole range costs one
+// call; the per-row body is unchanged. Each 8-column strip stays in one
+// YMM accumulator across all of the row's nonzeros and is stored once:
 // broadcast v[k], multiply it by the b strip, then add into the
 // accumulator — separate instructions, no FMA, in stored nonzero order —
 // so every lane rounds exactly like the portable loop's
@@ -15,23 +22,45 @@
 // ±0 the product is replaced by +0, and adding +0 leaves the
 // accumulator's bits unchanged (it starts at +0 and so can never become
 // -0), which is exactly what skipping the term does, even when b holds
-// Inf or NaN. A NaN v[k] compares unequal to zero and is kept. The
-// caller passes left = 1 for no left diagonal, which is exact for the
-// same reason. Strips are register-blocked four, then two, then one at
-// a time; blocking only shares the loads of cols and vals and the loop
+// Inf or NaN. A NaN v[k] compares unequal to zero and is kept. Scaling
+// by 1 when there is no left diagonal is exact for the same reason.
+// Strips are register-blocked four, then two, then one at a time;
+// blocking only shares the loads of cols and vals and the loop
 // overhead, it never reorders a lane's sum.
-TEXT ·spmmRowAVX(SB), NOSPLIT, $0-68
-	MOVQ         c+0(FP), DI
-	MOVQ         b+8(FP), SI
-	MOVQ         cols+16(FP), R8
-	MOVQ         vals+24(FP), R9
-	MOVQ         right+32(FP), R10
-	MOVQ         nnz+40(FP), CX
-	MOVQ         n+48(FP), R13
-	SHLQ         $2, R13                // b row stride in bytes
-	MOVQ         strips+56(FP), DX
-	VBROADCASTSS left+64(FP), Y14
-	VXORPS       Y15, Y15, Y15          // +0, the comparand of the zero mask
+TEXT ·spmmRowsAVX(SB), NOSPLIT, $0-88
+	MOVQ   rowptr+16(FP), R12
+	MOVQ   right+40(FP), R10
+	MOVQ   lo+56(FP), BX           // row i
+	MOVQ   hi+64(FP), R14
+	MOVQ   n+72(FP), R13
+	SHLQ   $2, R13                 // row stride of b and c in bytes
+	VXORPS Y15, Y15, Y15           // +0, the comparand of the zero mask
+
+row:
+	CMPQ         BX, R14
+	JGE          done
+	MOVL         (R12)(BX*4), AX   // rowptr[i], non-negative: zero-extended
+	MOVL         4(R12)(BX*4), CX  // rowptr[i+1]
+	SUBQ         AX, CX            // nnz of row i
+	MOVQ         cols+24(FP), R8
+	LEAQ         (R8)(AX*4), R8    // &cols[rowptr[i]]
+	MOVQ         vals+32(FP), R9
+	LEAQ         (R9)(AX*4), R9    // &vals[rowptr[i]]
+	MOVQ         left+48(FP), AX
+	TESTQ        AX, AX
+	JZ           noLeft
+	VBROADCASTSS (AX)(BX*4), Y14
+	JMP          rowStart
+
+noLeft:
+	VBROADCASTSS spmmOne<>(SB), Y14
+
+rowStart:
+	MOVQ  BX, DI
+	IMULQ R13, DI
+	ADDQ  c+0(FP), DI              // &c[i,0]
+	MOVQ  b+8(FP), SI
+	MOVQ  strips+80(FP), DX
 
 quad:
 	CMPQ   DX, $4
@@ -126,7 +155,7 @@ pairStore:
 
 single:
 	TESTQ  DX, DX
-	JZ     done
+	JZ     next
 	VXORPS Y0, Y0, Y0
 	XORQ   R11, R11
 	TESTQ  CX, CX
@@ -153,6 +182,10 @@ singleValue:
 singleStore:
 	VMULPS  Y14, Y0, Y0
 	VMOVUPS Y0, (DI)
+
+next:
+	INCQ BX
+	JMP  row
 
 done:
 	VZEROUPPER

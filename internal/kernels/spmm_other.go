@@ -7,13 +7,16 @@ import (
 	"repro/internal/sparse"
 )
 
-// useAVX is false off amd64: every row runs the portable loop.
+// useAVX is false off amd64: every row runs the portable loops.
 const useAVX = false
 
-// spmmRow computes output row i of c = diag(left)·s·diag(right)·b,
-// overwriting it, with the portable loop.
+// spmmRows computes output rows [lo, hi) of
+// c = diag(left)·s·diag(right)·b, overwriting them, with the portable
+// loop.
 //
 //cbm:hotpath
-func spmmRow(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []float32, i int) {
-	spmmRowPortable(c, s, b, left, right, i, 0)
+func spmmRows(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []float32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		spmmRowPortable(c, s, b, left, right, i, 0)
+	}
 }
