@@ -339,20 +339,3 @@ func BenchmarkFormats(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSpMMScheduling compares row-dynamic scheduling against
-// nnz-balanced segment scheduling (kernels.SpMMBalanced) on the
-// protein regime, whose hub rows are the worst case for row dealing.
-func BenchmarkSpMMScheduling(b *testing.B) {
-	d := benchData(b)[3] // protein regime
-	b.Run("row-dynamic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kernels.SpMMTo(d.out, d.a, d.x, 0)
-		}
-	})
-	b.Run("nnz-balanced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kernels.SpMMBalanced(d.out, d.a, d.x, 0)
-		}
-	})
-}

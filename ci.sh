@@ -49,7 +49,7 @@ echo "==> perfbench module (its own go.mod, so ./... skips it; it compiles again
 (cd perfbench && go vet . && go test -count=1 .)
 
 echo "==> go test -race (concurrency-heavy packages)"
-go test -race ./internal/cbm/... ./internal/parallel/... ./internal/kernels/... ./internal/oracle/... ./internal/obs/... ./internal/exec/... ./internal/gnn/... ./internal/clock/... ./internal/reorder/... ./internal/shard/...
+go test -race ./internal/cbm/... ./internal/parallel/... ./internal/kernels/... ./internal/oracle/... ./internal/obs/... ./internal/exec/... ./internal/gnn/... ./internal/clock/...
 
 echo "==> compression thread invariance (-race, Encode byte-identical at Threads 1/2/4; parallel candidate pass + per-component arborescence)"
 go test -race -count=1 -run 'TestCompressThreadInvariantEncode' ./internal/cbm/
@@ -63,18 +63,12 @@ go test -race -count=1 -run 'TestEngine' ./internal/gnn/
 echo "==> micro-batching smoke (-race, deterministic clock + batched bitwise equivalence)"
 go test -race -count=1 -run 'TestBatcher|TestGatherScatter|TestEngineBatched' ./internal/gnn/
 
-echo "==> zero-alloc smoke (GEMM, CSR and two-stage kernels + arena + forward path + engine steady state, incl. sharded backend; SIMD kernels bitwise vs portable)"
+echo "==> zero-alloc smoke (GEMM, CSR and two-stage kernels + arena + forward path + engine steady state; SIMD kernels bitwise vs portable)"
 go test -count=1 -run 'ZeroAlloc|TestArenaSteadyState|TestSAGEBatchAllocs|Bitwise' \
-    ./internal/dense/ ./internal/blas/ ./internal/kernels/ ./internal/cbm/ ./internal/exec/ ./internal/gnn/ ./internal/shard/
+    ./internal/dense/ ./internal/blas/ ./internal/kernels/ ./internal/cbm/ ./internal/exec/ ./internal/gnn/
 
 echo "==> SIMD bitwise under GOAMD64=v3 (a compiler that fuses the portable references into FMA fails here)"
 GOAMD64=v3 go test -count=1 -run 'Bitwise' ./internal/dense/ ./internal/blas/ ./internal/kernels/ ./internal/cbm/
-
-echo "==> shard stress (-race, concurrent sharded serving + lease pool)"
-go test -race -count=1 -run 'TestEngineSharded|TestSharded|TestLease|TestProvisionScratch' ./internal/gnn/ ./internal/shard/
-
-echo "==> shard oracle gate (sharded vs unsharded equivalence, shards {1,2,4,8} × threads {1,4})"
-go test -count=1 -run 'TestCheckShardEquivalence' ./internal/oracle/
 
 echo "==> cmd/verify smoke sweep"
 go run ./cmd/verify -n 64 -sweep quick
@@ -88,16 +82,6 @@ go run ./cmd/gcnserve -dataset cora -cols 16 -classes 4 -concurrency 4 -requests
 echo "==> cmd/gcnserve batched smoke (micro-batched vs unbatched sweep)"
 go run ./cmd/gcnserve -dataset cora -cols 16 -classes 4 -requests 3 \
     -batch -concurrencies 1,4 >/dev/null
-
-echo "==> reorder smoke (banded ratio must strictly improve under minhash and rcm orders)"
-go run ./cmd/cbmcompress -dataset cora -alpha 0 -window 64 -reorder=minhash -assert-reorder-gain >/dev/null
-go run ./cmd/cbmcompress -dataset cora -alpha 0 -window 64 -reorder=rcm -assert-reorder-gain >/dev/null
-go test -count=1 -run 'TestCheckPermutation|TestReordered|TestPermuteSymmetric|TestRCM' \
-    ./internal/oracle/ ./internal/gnn/ ./internal/sparse/ ./internal/reorder/
-
-echo "==> cmd/gcnserve sharded smoke (row-partitioned backend under concurrent load)"
-go run ./cmd/gcnserve -dataset cora -cols 16 -classes 4 -concurrency 4 -requests 3 \
-    -shards 4 -shard-order rcm >/dev/null
 
 echo "==> cbmbench metrics smoke (BENCH_cbm.json)"
 go run ./cmd/cbmbench -exp bench -datasets cora -cols 16 -reps 3 -warmup 1 \

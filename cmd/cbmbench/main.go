@@ -43,10 +43,6 @@ func main() {
 		checkBench   = flag.String("check-bench", "", "validate an existing bench report file and exit")
 		metrics      = flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
 		profile      = flag.Bool("stage-labels", false, "attach pprof cbm_stage goroutine labels to instrumented regions")
-		doReorder    = flag.String("reorder", "", "run -exp bench headline numbers on the reordered graph (banded candidate build): minhash or rcm")
-		window       = flag.Int("window", 0, "candidate band for the bench reorder block (0 = default 64)")
-		shards       = flag.String("shards", "", "comma-separated shard counts for the bench shard block (default 1,2,4,8)")
-		shardOrder   = flag.String("shard-order", "", "row ordering before the shard cut: natural (default), minhash or rcm")
 	)
 	flag.Parse()
 
@@ -82,24 +78,11 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		Seed:            *seed,
-		Threads:         *threads,
-		Cols:            *cols,
-		Reps:            *reps,
-		Warmup:          *warmup,
-		Reorder:         *doReorder != "",
-		ReorderStrategy: *doReorder,
-		ReorderWindow:   *window,
-		ShardOrder:      *shardOrder,
-	}
-	if *shards != "" {
-		for _, s := range strings.Split(*shards, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				fatalf("bad -shards value %q", s)
-			}
-			cfg.ShardCounts = append(cfg.ShardCounts, v)
-		}
+		Seed:    *seed,
+		Threads: *threads,
+		Cols:    *cols,
+		Reps:    *reps,
+		Warmup:  *warmup,
 	}
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")

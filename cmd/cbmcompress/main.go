@@ -12,12 +12,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cbm"
 	"repro/internal/obs"
-	"repro/internal/reorder"
 	"repro/internal/sparse"
 )
 
@@ -33,10 +31,6 @@ func main() {
 		dot     = flag.String("dot", "", "write the compression tree as Graphviz DOT to this file")
 		hist    = flag.Bool("hist", false, "print the per-row delta histogram and branch-size distribution")
 		metrics = flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
-
-		window     = flag.Int("window", 0, "restrict candidate parents to |x−y| ≤ window (0 = exact, order-invariant)")
-		doReorder  = flag.String("reorder", "", "reorder rows before compressing: minhash (similarity) or rcm (bandwidth); reports before/after ratio")
-		assertGain = flag.Bool("assert-reorder-gain", false, "with -reorder: exit non-zero unless the reordered ratio strictly beats the raw ratio")
 	)
 	flag.Parse()
 
@@ -83,46 +77,14 @@ func main() {
 		Alpha:         *alpha,
 		Threads:       *threads,
 		MaxCandidates: *maxCand,
-		Window:        *window,
 	}
 	m, stats, err := cbm.Compress(a, opt)
 	if err != nil {
 		fatal(err)
 	}
 	ratio := float64(a.FootprintBytes()) / float64(m.FootprintBytes())
-
-	var (
-		reBuild   time.Duration
-		reRatio   float64
-		reStats   reorder.Stats
-		reordered bool
-	)
-	if *doReorder != "" {
-		strat, err := reorder.ParseStrategy(*doReorder)
-		if err != nil {
-			fatal(err)
-		}
-		start := time.Now()
-		p, rs := reorder.Build(a, reorder.Options{Threads: *threads, Strategy: strat})
-		reBuild = time.Since(start)
-		reStats = rs
-		pa := a.PermuteSymmetric(p.Perm())
-		mp, _, err := cbm.Compress(pa, opt)
-		if err != nil {
-			fatal(err)
-		}
-		reRatio = float64(a.FootprintBytes()) / float64(mp.FootprintBytes())
-		// The reordered matrix drives the rest of the report: the saved
-		// container and histograms describe what a reordering deployment
-		// would actually ship.
-		m, reordered = mp, true
-	}
-
 	outf("matrix:            %d×%d, nnz %d\n", a.Rows, a.Cols, a.NNZ())
 	outf("alpha:             %d\n", *alpha)
-	if *window > 0 {
-		outf("window:            %d (banded candidates)\n", *window)
-	}
 	outf("candidate edges:   %d\n", stats.CandidateEdges)
 	outf("deltas (nnz A'):   %d  (%.1f%% of nnz)\n",
 		m.NumDeltas(), 100*float64(m.NumDeltas())/float64(maxInt(a.NNZ(), 1)))
@@ -133,16 +95,6 @@ func main() {
 	outf("S_CSR:             %s MiB\n", bench.MiB(a.FootprintBytes()))
 	outf("S_CBM:             %s MiB\n", bench.MiB(m.FootprintBytes()))
 	outf("compression ratio: %.2f×\n", ratio)
-	if reordered {
-		outf("reorder build:     %v (%s: %d buckets, largest %d)\n",
-			reBuild, *doReorder, reStats.Buckets, reStats.LargestBucket)
-		outf("reordered ratio:   %.2f× (raw %.2f×)\n", reRatio, ratio)
-		if *assertGain && reRatio <= ratio {
-			fatal(fmt.Errorf("reordered ratio %.4f did not beat raw %.4f "+
-				"(hint: exact mode is permutation-invariant; pass -window)", reRatio, ratio))
-		}
-	}
-
 	if *hist {
 		printHistograms(m)
 	}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/dense"
 	"repro/internal/gnn"
 	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/xrand"
 )
 
@@ -43,8 +42,6 @@ func main() {
 		requests    = flag.Int("requests", 40, "requests per worker (after one warm-up each)")
 		seed        = flag.Uint64("seed", 1, "generator seed")
 		metrics     = flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
-		shards      = flag.Int("shards", 0, "serve the CBM side through the row-partitioned sharded backend (0/1 = unsharded)")
-		shardOrder  = flag.String("shard-order", "", "row ordering before the shard cut: natural (default), minhash or rcm")
 
 		batch         = flag.Bool("batch", false, "compare unbatched vs micro-batched CBM serving instead of CSR vs CBM")
 		batchWindow   = flag.Duration("batch-window", 250*time.Microsecond, "micro-batch flush window")
@@ -71,35 +68,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The served CBM-side backend: unsharded by default; with -shards
-	// the row-partitioned representation, whose per-shard lease pool the
-	// engine provisions to its admission bound.
-	var served gnn.Adjacency
-	if *shards > 1 {
-		sb, err := gnn.NewShardedCBMBackend(a,
-			shard.Options{Shards: *shards, CBM: cbm.Options{Alpha: *alpha}}, *shardOrder)
-		if err != nil {
-			fatal(err)
-		}
-		served = sb.Backend
-		halo := 0
-		for _, h := range sb.Stats.HaloNNZ {
-			halo += h
-		}
-		order := *shardOrder
-		if order == "" {
-			order = "natural"
-		}
-		outf("shards: %d (order %q, halo nnz %d, imbalance %d‰)\n",
-			sb.Stats.Shards, order, halo, sb.Stats.ImbalancePermille)
-	} else {
-		cbmBackend, stats, err := gnn.NewCBMBackend(a, cbm.Options{Alpha: *alpha, Threads: 0})
-		if err != nil {
-			fatal(err)
-		}
-		served = cbmBackend
-		outf("CBM build: %v (%d branches)\n", stats.Total(), cbmBackend.M.NumBranches())
+	cbmBackend, stats, err := gnn.NewCBMBackend(a, cbm.Options{Alpha: *alpha, Threads: 0})
+	if err != nil {
+		fatal(err)
 	}
+	outf("CBM build: %v (%d branches)\n", stats.Total(), cbmBackend.M.NumBranches())
 
 	model := gnn.NewGCN2(*cols, *cols, *classes, *seed+7)
 	rng := xrand.New(*seed + 11)
@@ -118,13 +91,13 @@ func main() {
 				levels = append(levels, v)
 			}
 		}
-		batchSweep(model, served, x, levels, *requests, *threads, *maxInFlight, *batchWindow, *batchCols, *cols)
+		batchSweep(model, cbmBackend, x, levels, *requests, *threads, *maxInFlight, *batchWindow, *batchCols, *cols)
 	} else {
 		cfg := gnn.EngineConfig{MaxInFlight: slots, Threads: *threads}
 		outf("engine: %d workers × %d requests, %d slots, %d thread(s)/request\n",
 			*concurrency, *requests, slots, cfg.Threads)
 		csrStats := serve(gnn.NewEngine(model, csrBackend, cfg), x, *concurrency, *requests)
-		cbmStats := serve(gnn.NewEngine(model, served, cfg), x, *concurrency, *requests)
+		cbmStats := serve(gnn.NewEngine(model, cbmBackend, cfg), x, *concurrency, *requests)
 		outf("%-8s %10s %10s %10s %10s %12s\n", "backend", "mean_ms", "p50_ms", "p99_ms", "max_ms", "req/s")
 		report("CSR", csrStats)
 		report("CBM", cbmStats)

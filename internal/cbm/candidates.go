@@ -47,17 +47,14 @@ type candidate struct {
 // per-row list at the maxCand nearest candidates (smallest Hamming
 // distance) — the memory-scaling knob discussed in DESIGN.md; 0 keeps
 // everything. A non-nil cluster assignment restricts candidates to
-// same-cluster rows (see CompressClustered). window > 0 restricts
-// candidates to the index band |x−y| ≤ window — the ordering-sensitive
-// scalable mode that internal/reorder's similarity permutation feeds
-// (similar rows must be index-adjacent for the band to see them).
+// same-cluster rows (see CompressClustered).
 //
 // The second result counts every ordered row pair with a non-empty
 // intersection — the nnz of AAᵀ minus the diagonal. It is the memory
 // the paper's explicit-AAᵀ construction would materialize (the
 // Sec. VIII "92 GiB for Reddit" number) and feeds the memory-wall
 // experiment.
-func buildCandidates(a *sparse.CSR, threads, maxCand int, cluster []int32, window int) ([][]candidate, int64) {
+func buildCandidates(a *sparse.CSR, threads, maxCand int, cluster []int32) ([][]candidate, int64) {
 	n := a.Rows
 	cand := make([][]candidate, n)
 	if n == 0 {
@@ -106,9 +103,6 @@ func buildCandidates(a *sparse.CSR, threads, maxCand int, cluster []int32, windo
 				inter := count[y]
 				count[y] = 0
 				if cluster != nil && cluster[y] != cluster[x] {
-					continue
-				}
-				if window > 0 && absInt(int(y)-x) > window {
 					continue
 				}
 				// savings = 2*inter - nnz(y); keep non-losing parents.
@@ -174,13 +168,6 @@ func (p *scratchPool[T]) put(s *T) {
 	case p.free <- s:
 	default:
 	}
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // checkShape validates that a is a square binary matrix small enough

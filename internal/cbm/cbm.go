@@ -64,14 +64,6 @@ type Options struct {
 	// ForceMCA uses the arborescence solver even when Alpha == 0
 	// (ablation/testing; the result weight must match the MST).
 	ForceMCA bool
-	// Window restricts parent candidates to the index band
-	// |x−y| ≤ Window (0 = unrestricted). Unlike the exact pass — whose
-	// result is invariant under symmetric row permutation — the banded
-	// candidate set depends on the row ordering, so Window pairs with a
-	// similarity permutation (internal/reorder) that moves good parents
-	// into the band. Compression quality is at most that of the exact
-	// pass; Property 1 still holds.
-	Window int
 }
 
 // BuildStats reports what compression did — the source of the paper's
@@ -143,7 +135,7 @@ func NewBuilder(a *sparse.CSR, opt Options) (*Builder, error) {
 	}
 	start := buildClock.Now()
 	sp := obs.Begin(obs.StageCandidates)
-	cand, pairs := buildCandidates(a, opt.Threads, opt.MaxCandidates, nil, opt.Window)
+	cand, pairs := buildCandidates(a, opt.Threads, opt.MaxCandidates, nil)
 	sp.End()
 	return &Builder{
 		a:       a,

@@ -500,3 +500,29 @@ func TestKindString(t *testing.T) {
 		t.Fatalf("unknown kind string = %q", Kind(99).String())
 	}
 }
+
+func TestExactCompressionIsPermutationInvariant(t *testing.T) {
+	// The exact build's footprint must not change under symmetric
+	// permutation P·A·Pᵀ: candidates are global and the tree solvers are
+	// optimal, so a row order can buy locality but never exact ratio.
+	a := synth.HolmeKim(600, 2, 0.4, 12)
+	m, _, err := Compress(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := make([]int32, a.Rows)
+	for i, p := range xrand.New(5).Perm(a.Rows) {
+		perm[i] = int32(p)
+	}
+	mp, _, err := Compress(a.PermuteSymmetric(perm), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.FootprintBytes() != mp.FootprintBytes() {
+		t.Fatalf("exact footprint changed under permutation: %d vs %d",
+			m.FootprintBytes(), mp.FootprintBytes())
+	}
+	if m.NumDeltas() != mp.NumDeltas() {
+		t.Fatalf("delta count changed under permutation: %d vs %d", m.NumDeltas(), mp.NumDeltas())
+	}
+}

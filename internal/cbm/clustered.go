@@ -18,7 +18,7 @@ package cbm
 import (
 	"fmt"
 
-	"repro/internal/reorder"
+	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -64,7 +64,7 @@ func CompressClustered(a *sparse.CSR, opt Options, copt ClusterOptions) (*Matrix
 
 	stats := BuildStats{Alpha: opt.Alpha}
 	start := buildClock.Now()
-	cand, pairs := buildCandidates(a, opt.Threads, opt.MaxCandidates, cluster, opt.Window)
+	cand, pairs := buildCandidates(a, opt.Threads, opt.MaxCandidates, cluster)
 	stats.CandidateTime = buildClock.Now().Sub(start)
 	stats.IntersectingPairs = pairs
 	cstats.CandidateEdges = candidateEdgeCount(cand)
@@ -99,13 +99,13 @@ func CompressClustered(a *sparse.CSR, opt Options, copt ClusterOptions) (*Matrix
 // minhashClusters assigns every row a cluster id: rows whose full
 // MinHash signature matches share a cluster. Empty rows all map to one
 // cluster (they carry no compression opportunity anyway). The per-hash
-// minima come from the shared internal/reorder signature kernel; this
-// function only folds them into one word and buckets the rows.
+// minima come from minhashSignatures; this function only folds them
+// into one word and buckets the rows.
 func minhashClusters(a *sparse.CSR, hashes int, seed uint64, threads int) ([]int32, ClusterStats) {
 	n := a.Rows
 	cluster := make([]int32, n)
 	sigs := make([]uint64, n)
-	mat := reorder.Signatures(a, hashes, seed, threads)
+	mat := minhashSignatures(a, hashes, seed, threads)
 
 	for x := 0; x < n; x++ {
 		if a.RowNNZ(x) == 0 {
@@ -142,4 +142,55 @@ func minhashClusters(a *sparse.CSR, hashes int, seed uint64, threads int) ([]int
 		}
 	}
 	return cluster, stats
+}
+
+// emptySig is the per-hash signature of an empty row: no column ever
+// beats it, so empty rows collide only with each other.
+const emptySig = ^uint64(0)
+
+// minhashSignatures computes the n×hashes (hashes ≥ 1) MinHash
+// signature matrix of a's rows, row-major: row x's vector is
+// sigs[x*hashes : (x+1)*hashes]. A row's entry per hash function is the
+// minimum of a mixed 64-bit hash over its column set, so two rows agree
+// on one entry with probability equal to the Jaccard similarity of
+// their column sets. Empty rows carry the all-emptySig vector. The
+// result is deterministic in (a, hashes, seed) and independent of
+// threads.
+func minhashSignatures(a *sparse.CSR, hashes int, seed uint64, threads int) []uint64 {
+	n := a.Rows
+	// One odd 64-bit mixer per hash function, via a splitmix-style chain.
+	mixers := make([]uint64, hashes)
+	s := seed | 1
+	for i := range mixers {
+		s = s*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
+		mixers[i] = s | 1
+	}
+	sigs := make([]uint64, n*hashes)
+	parallel.ForRange(n, threads, func(lo, hi int) {
+		for x := lo; x < hi; x++ {
+			cols := a.RowCols(x)
+			row := sigs[x*hashes : (x+1)*hashes]
+			for i, mix := range mixers {
+				row[i] = minHash(cols, mix)
+			}
+		}
+	})
+	return sigs
+}
+
+// minHash returns the minimum mixed hash over a sorted column list for
+// one hash function (identified by its mixer), or emptySig for an
+// empty list.
+func minHash(cols []int32, mix uint64) uint64 {
+	min := emptySig
+	for _, c := range cols {
+		h := (uint64(c) + 0x9e3779b97f4a7c15) * mix
+		h ^= h >> 29
+		h *= 0x94d049bb133111eb
+		h ^= h >> 32
+		if h < min {
+			min = h
+		}
+	}
+	return min
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/reorder"
 	"repro/internal/synth"
 	"repro/internal/xrand"
 )
@@ -158,13 +157,13 @@ func TestMinhashClustersDirect(t *testing.T) {
 }
 
 func TestMinhashClustersMatchesSharedSignatureKernel(t *testing.T) {
-	// The cluster partition must follow the shared reorder.Signatures
-	// kernel exactly: rows agree on every per-hash minimum iff they
-	// share a cluster (modulo the empty-row bucket).
+	// The cluster partition must follow the minhashSignatures kernel
+	// exactly: rows agree on every per-hash minimum iff they share a
+	// cluster (modulo the empty-row bucket).
 	a := synth.SBMGroups(300, 15, 0.75, 0.6, 21)
 	const hashes, seed = 3, 17
 	cluster, _ := minhashClusters(a, hashes, seed, 2)
-	sigs := reorder.Signatures(a, hashes, seed, 2)
+	sigs := minhashSignatures(a, hashes, seed, 2)
 	sameSig := func(x, y int) bool {
 		for k := 0; k < hashes; k++ {
 			if sigs[x*hashes+k] != sigs[y*hashes+k] {
@@ -197,5 +196,21 @@ func TestClusteredEmptyRowsShareCluster(t *testing.T) {
 	}
 	if !m.ToCSR().ToDense().Equal(a.ToDense()) {
 		t.Fatal("round trip with empty rows differs")
+	}
+}
+
+func TestMinhashSignaturesEmptyRows(t *testing.T) {
+	a := fromAdjForTest(3, [][]int32{{0, 1}, {}, {0, 1}})
+	sigs := minhashSignatures(a, 3, 7, 1)
+	for k := 0; k < 3; k++ {
+		if sigs[1*3+k] != emptySig {
+			t.Fatalf("empty row signature[%d] = %d, want emptySig", k, sigs[3+k])
+		}
+		if sigs[0*3+k] != sigs[2*3+k] {
+			t.Fatalf("identical rows disagree on hash %d", k)
+		}
+		if sigs[0*3+k] == emptySig {
+			t.Fatalf("non-empty row carries emptySig at hash %d", k)
+		}
 	}
 }

@@ -16,8 +16,6 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/kernels"
 	"repro/internal/obs"
-	"repro/internal/reorder"
-	"repro/internal/shard"
 	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
@@ -46,8 +44,10 @@ import (
 // nonzero total and nnz imbalance); v8 dropped the fused plan
 // (cbm_fused, fused_speedup, fused_s) and selector_speedup with the
 // plan space they measured, and added the machine record (nproc,
-// gomaxprocs) next to threads, which is clamped to nproc.
-const BenchSchema = "cbm-bench/v8"
+// gomaxprocs) next to threads, which is clamped to nproc; v9 dropped
+// the reorder block, the reordered flag and the shard block with the
+// similarity reordering and sharded serving they measured.
+const BenchSchema = "cbm-bench/v9"
 
 // BenchTiming is bench.Timing flattened to seconds for JSON.
 type BenchTiming struct {
@@ -97,55 +97,9 @@ type BenchDataset struct {
 	// (cbm.UpdateStrategy string).
 	ChosenPlan string          `json:"chosen_plan"`
 	Stages     BenchStageSplit `json:"stage_split"`
-	// Reordered marks that the headline numbers above were measured on
-	// the similarity-permuted graph (Config.Reorder); Reorder is the
-	// always-measured reordering block (v6).
-	Reordered bool         `json:"reordered"`
-	Reorder   BenchReorder `json:"reorder"`
-	// Shard is the v7 sharded block: the row-partitioned representation
-	// measured against the unsharded CBM backend at each probed shard
-	// count.
-	Shard []BenchShard `json:"shard"`
 	// Inference is the end-to-end serving comparison: per-request GCN2
 	// engine latency at each probed concurrency level.
 	Inference []BenchInference `json:"inference"`
-}
-
-// BenchReorder is the v6 similarity-reordering block. The exact CBM
-// build is permutation-invariant (candidates are global and the tree
-// solvers optimal), so RatioExact is reported as the order-free
-// baseline and the before/after comparison runs under the banded
-// candidate build (|x−y| ≤ Window), the regime where row order is the
-// whole game. SpMMSpeedup is the raw-order banded CBM MulTo mean over
-// the reordered banded CBM MulTo mean, measured as a drift-immune
-// pair (> 1 means the permutation made the multiply faster).
-type BenchReorder struct {
-	// Strategy names the ordering algorithm measured ("minhash" or
-	// "rcm"; v7).
-	Strategy     string  `json:"strategy"`
-	BuildSeconds float64 `json:"build_s"`
-	Window       int     `json:"window"`
-	Buckets      int     `json:"buckets"`
-	RatioExact   float64 `json:"ratio_exact"`
-	RatioRaw     float64 `json:"ratio_window_raw"`
-	RatioOrdered float64 `json:"ratio_window_reordered"`
-	SpMMSpeedup  float64 `json:"spmm_speedup"`
-}
-
-// BenchShard is one shard count of the v7 sharded block: the same
-// normalized adjacency multiplied through the unsharded CBM backend
-// and through the row-partitioned sharded backend, measured as a
-// drift-immune pair (bench.MeasurePaired). Speedup is the unsharded
-// mean over the sharded mean (> 1 means sharding wins). HaloNNZ is the
-// total cross-block nonzero count the partition pays per multiply;
-// ImbalancePermille is 1000·(max shard nnz − mean)/mean over the cut.
-type BenchShard struct {
-	Shards            int         `json:"shards"`
-	Unsharded         BenchTiming `json:"unsharded_mul"`
-	Sharded           BenchTiming `json:"sharded_mul"`
-	Speedup           float64     `json:"speedup"`
-	HaloNNZ           int         `json:"halo_nnz"`
-	ImbalancePermille int64       `json:"imbalance_permille"`
 }
 
 // BenchLatency summarizes per-request end-to-end inference latency
@@ -232,18 +186,7 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 		rng.FillUniform(b.Data)
 		c := dense.New(n, cfg.Cols)
 
-		reorderBlock, pa, err := benchReorder(a, alpha, cfg, b, c)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: bench %s reorder: %w", d.Name, err)
-		}
 		opt := cbm.Options{Alpha: alpha, Threads: cfg.Threads}
-		if cfg.Reorder {
-			// Headline numbers on the permuted graph: both backends (CSR
-			// and CBM, kernels and serving) see the same row order, so
-			// every comparison below stays apples-to-apples.
-			a = pa
-			opt.Window = cfg.ReorderWindow
-		}
 
 		start := time.Now()
 		m, _, err := cbm.Compress(a, opt)
@@ -283,10 +226,6 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: bench %s inference: %w", d.Name, err)
 		}
-		shardBlock, err := benchShard(a, opt, cfg, b, c)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: bench %s shard: %w", d.Name, err)
-		}
 		report.Datasets = append(report.Datasets, BenchDataset{
 			Name:             d.Name,
 			Nodes:            n,
@@ -305,122 +244,10 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 				UpdateSeconds: updS,
 				SpMMFraction:  frac,
 			},
-			Reordered: cfg.Reorder,
-			Reorder:   reorderBlock,
-			Shard:     shardBlock,
 			Inference: inference,
 		})
 	}
 	return report, nil
-}
-
-// benchReorder measures the v6 similarity-reordering block for one
-// dataset and returns the permuted adjacency for optional headline
-// reuse. BuildSeconds covers what a reordering deployment actually
-// pays up front: the MinHash signature pass, the bucket sort and the
-// P·A·Pᵀ apply. The before/after comparison runs under the banded
-// candidate build — the exact build is permutation-invariant, so the
-// exact ratio appears once as the order-free reference. The SpMM pair
-// multiplies the raw-order and the reordered banded matrices through
-// bench.MeasurePaired (rounds alternate which side goes first), with
-// the reordered side fed the row-gathered operand so it times the
-// real deployment path.
-func benchReorder(a *sparse.CSR, alpha int, cfg Config, b, c *dense.Matrix) (BenchReorder, *sparse.CSR, error) {
-	opt := cbm.Options{Alpha: alpha, Threads: cfg.Threads}
-	mExact, _, err := cbm.Compress(a, opt)
-	if err != nil {
-		return BenchReorder{}, nil, err
-	}
-	strat, err := reorder.ParseStrategy(cfg.ReorderStrategy)
-	if err != nil {
-		return BenchReorder{}, nil, err
-	}
-
-	start := time.Now()
-	p, rstats := reorder.Build(a, reorder.Options{Threads: cfg.Threads, Strategy: strat})
-	pa := a.PermuteSymmetric(p.Perm())
-	buildS := time.Since(start).Seconds()
-
-	wopt := opt
-	wopt.Window = cfg.ReorderWindow
-	mRaw, _, err := cbm.Compress(a, wopt)
-	if err != nil {
-		return BenchReorder{}, nil, err
-	}
-	mOrd, _, err := cbm.Compress(pa, wopt)
-	if err != nil {
-		return BenchReorder{}, nil, err
-	}
-
-	bp := dense.New(b.Rows, b.Cols)
-	p.GatherRows(bp, b)
-	cp := dense.New(c.Rows, c.Cols)
-	tRaw, tOrd := bench.MeasurePaired(cfg.Reps, cfg.Warmup,
-		func() { mRaw.MulTo(c, b, cfg.Threads) },
-		func() { mOrd.MulTo(cp, bp, cfg.Threads) },
-	)
-	speedup := math.NaN()
-	if tOrd.Seconds() > 0 {
-		speedup = tRaw.Seconds() / tOrd.Seconds()
-	}
-
-	s := float64(a.FootprintBytes())
-	return BenchReorder{
-		Strategy:     strat.String(),
-		BuildSeconds: buildS,
-		Window:       cfg.ReorderWindow,
-		Buckets:      rstats.Buckets,
-		RatioExact:   s / float64(mExact.FootprintBytes()),
-		RatioRaw:     s / float64(mRaw.FootprintBytes()),
-		RatioOrdered: s / float64(mOrd.FootprintBytes()),
-		SpMMSpeedup:  speedup,
-	}, pa, nil
-}
-
-// benchShard measures the v7 sharded block: for each configured shard
-// count, the normalized adjacency served by the row-partitioned
-// backend is raced against the unsharded CBM backend through
-// bench.MeasurePaired (rounds alternate which side goes first, so
-// machine drift cannot masquerade as a sharding win). The unsharded
-// side is rebuilt per pairing only in the timings' warm caches sense —
-// the same backend object is reused across counts; the shard backend
-// carries its own per-shard arenas and pinned plans. Halo nonzeros and
-// the cut's nnz imbalance come from the shard build stats.
-func benchShard(a *sparse.CSR, opt cbm.Options, cfg Config, b, c *dense.Matrix) ([]BenchShard, error) {
-	unsharded, _, err := gnn.NewCBMBackend(a, opt)
-	if err != nil {
-		return nil, err
-	}
-	cu := dense.New(c.Rows, c.Cols)
-	out := make([]BenchShard, 0, len(cfg.ShardCounts))
-	for _, shards := range cfg.ShardCounts {
-		sb, err := gnn.NewShardedCBMBackend(a,
-			shard.Options{Shards: shards, CBM: opt}, cfg.ShardOrder)
-		if err != nil {
-			return nil, err
-		}
-		tU, tS := bench.MeasurePaired(cfg.Reps, cfg.Warmup,
-			func() { unsharded.MulTo(cu, b, cfg.Threads) },
-			func() { sb.Backend.MulTo(c, b, cfg.Threads) },
-		)
-		speedup := math.NaN()
-		if tS.Seconds() > 0 {
-			speedup = tU.Seconds() / tS.Seconds()
-		}
-		halo := 0
-		for _, h := range sb.Stats.HaloNNZ {
-			halo += h
-		}
-		out = append(out, BenchShard{
-			Shards:            sb.Stats.Shards,
-			Unsharded:         toBenchTiming(tU),
-			Sharded:           toBenchTiming(tS),
-			Speedup:           speedup,
-			HaloNNZ:           halo,
-			ImbalancePermille: sb.Stats.ImbalancePermille,
-		})
-	}
-	return out, nil
 }
 
 // inferenceConcurrency are the serving concurrency levels probed by
@@ -627,30 +454,6 @@ func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 			return nil, fmt.Errorf("experiments: bench report entry %s has unknown chosen_plan %q",
 				d.Name, d.ChosenPlan)
 		}
-		re := d.Reorder
-		if re.Window <= 0 || re.BuildSeconds < 0 ||
-			!(re.RatioExact > 0) || !(re.RatioRaw > 0) || !(re.RatioOrdered > 0) ||
-			!(re.SpMMSpeedup > 0) || re.Buckets <= 0 {
-			return nil, fmt.Errorf("experiments: bench report entry %s has a malformed reorder block %+v",
-				d.Name, re)
-		}
-		if _, err := reorder.ParseStrategy(re.Strategy); err != nil {
-			return nil, fmt.Errorf("experiments: bench report entry %s reorder block: %w", d.Name, err)
-		}
-		if len(d.Shard) == 0 {
-			return nil, fmt.Errorf("experiments: bench report entry %s has no shard block", d.Name)
-		}
-		for _, s := range d.Shard {
-			if s.Shards <= 0 || s.Unsharded.MeanSeconds <= 0 || s.Sharded.MeanSeconds <= 0 ||
-				!(s.Speedup > 0) || s.HaloNNZ < 0 || s.ImbalancePermille < 0 {
-				return nil, fmt.Errorf("experiments: bench report entry %s has a malformed shard block (shards %d)",
-					d.Name, s.Shards)
-			}
-			if s.Shards == 1 && s.HaloNNZ != 0 {
-				return nil, fmt.Errorf("experiments: bench report entry %s: a single-shard cut has no halo, got %d nnz",
-					d.Name, s.HaloNNZ)
-			}
-		}
 		if len(d.Inference) == 0 {
 			return nil, fmt.Errorf("experiments: bench report entry %s has no inference latencies", d.Name)
 		}
@@ -722,43 +525,4 @@ func WriteBench(w io.Writer, r *BenchReport) {
 		fmt.Fprint(w, "\nServing — per-request GCN2 engine latency (threads/request=1; batch = micro-batched CBM)\n")
 		fmt.Fprint(w, inf.String())
 	}
-
-	sh := &bench.Table{Header: []string{
-		"Graph", "shards", "unsharded", "sharded", "spd", "halo nnz", "imbal ‰",
-	}}
-	for _, d := range r.Datasets {
-		for _, s := range d.Shard {
-			sh.AddRow(d.Name,
-				fmt.Sprintf("%d", s.Shards),
-				fmt.Sprintf("%.4f (± %.4f)", s.Unsharded.MeanSeconds, s.Unsharded.StdSeconds),
-				fmt.Sprintf("%.4f (± %.4f)", s.Sharded.MeanSeconds, s.Sharded.StdSeconds),
-				fmt.Sprintf("%.2f", s.Speedup),
-				fmt.Sprintf("%d", s.HaloNNZ),
-				fmt.Sprintf("%d", s.ImbalancePermille),
-			)
-		}
-	}
-	if len(sh.Rows) > 0 {
-		fmt.Fprint(w, "\nShard — row-partitioned vs unsharded CBM MulTo (paired rounds)\n")
-		fmt.Fprint(w, sh.String())
-	}
-
-	reo := &bench.Table{Header: []string{
-		"Graph", "window", "build_s", "buckets",
-		"ratio exact", "band raw", "band reord", "spmm spd",
-	}}
-	for _, d := range r.Datasets {
-		re := d.Reorder
-		reo.AddRow(d.Name,
-			fmt.Sprintf("%d", re.Window),
-			fmt.Sprintf("%.4f", re.BuildSeconds),
-			fmt.Sprintf("%d", re.Buckets),
-			fmt.Sprintf("%.2f", re.RatioExact),
-			fmt.Sprintf("%.2f", re.RatioRaw),
-			fmt.Sprintf("%.2f", re.RatioOrdered),
-			fmt.Sprintf("%.2f", re.SpMMSpeedup),
-		)
-	}
-	fmt.Fprint(w, "\nReorder — similarity permutation under the banded candidate build (exact ratio is order-invariant)\n")
-	fmt.Fprint(w, reo.String())
 }

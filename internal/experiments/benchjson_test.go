@@ -47,37 +47,6 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 	if d.Stages.SpMMFraction <= 0 || d.Stages.SpMMFraction >= 1 {
 		t.Fatalf("spmm fraction %v out of (0,1)", d.Stages.SpMMFraction)
 	}
-	if d.Reordered {
-		t.Fatal("headline must stay raw-order unless Config.Reorder is set")
-	}
-	re := d.Reorder
-	if re.Window != 64 || re.Buckets <= 0 || re.BuildSeconds < 0 ||
-		re.RatioExact <= 0 || re.RatioRaw <= 0 || re.RatioOrdered <= 0 || re.SpMMSpeedup <= 0 {
-		t.Fatalf("reorder block malformed: %+v", re)
-	}
-	if re.Strategy != "minhash" {
-		t.Fatalf("default reorder strategy = %q, want minhash", re.Strategy)
-	}
-	if len(d.Shard) != 4 {
-		t.Fatalf("shard blocks = %d, want the default counts {1,2,4,8}", len(d.Shard))
-	}
-	for i, s := range d.Shard {
-		if want := []int{1, 2, 4, 8}[i]; s.Shards != want {
-			t.Fatalf("shard[%d].Shards = %d, want %d", i, s.Shards, want)
-		}
-		if s.Unsharded.MeanSeconds <= 0 || s.Sharded.MeanSeconds <= 0 || s.Speedup <= 0 {
-			t.Fatalf("shard[%d] has non-positive timings: %+v", i, s)
-		}
-		if s.Shards == 1 && s.HaloNNZ != 0 {
-			t.Fatalf("single-shard halo nnz = %d, want 0", s.HaloNNZ)
-		}
-		if s.Shards > 1 && s.HaloNNZ <= 0 {
-			t.Fatalf("shard[%d] halo nnz = %d, want > 0 on a connected SBM", i, s.HaloNNZ)
-		}
-		if s.ImbalancePermille < 0 {
-			t.Fatalf("shard[%d] imbalance = %d", i, s.ImbalancePermille)
-		}
-	}
 	if len(d.Inference) != len(inferenceConcurrency) {
 		t.Fatalf("inference blocks = %d, want %d", len(d.Inference), len(inferenceConcurrency))
 	}
@@ -136,32 +105,6 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBenchJSONReorderedHeadline(t *testing.T) {
-	cfg := Config{Seed: 1, Threads: 2, Cols: 8, Reps: 2, Warmup: 1,
-		Datasets: []string{"cora"}, Reorder: true, ReorderWindow: 32}
-	r, err := BenchJSON(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := r.Datasets[0]
-	if !d.Reordered {
-		t.Fatal("Config.Reorder not reflected in the report")
-	}
-	if d.Reorder.Window != 32 {
-		t.Fatalf("reorder window = %d, want 32", d.Reorder.Window)
-	}
-	if d.CBMMul.MeanSeconds <= 0 || d.CSRSpMM.MeanSeconds <= 0 {
-		t.Fatalf("reordered headline has non-positive timings: %+v", d)
-	}
-	var buf bytes.Buffer
-	if err := WriteBenchReport(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBenchReport(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("validator rejects a reordered report: %v", err)
-	}
-}
-
 func TestReadBenchReportRejectsBadDocuments(t *testing.T) {
 	// Each piece below is valid on its own, so each rejection case trips
 	// exactly the validator it names.
@@ -169,38 +112,38 @@ func TestReadBenchReportRejectsBadDocuments(t *testing.T) {
 		machine = `"nproc":2,"gomaxprocs":2,"threads":2`
 		plans   = `"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
 			`"cbm_csr_plan":{"mean_s":1}`
-		reorder = `"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
-			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1}`
-		shard   = `"shard":[{"shards":2,"unsharded_mul":{"mean_s":1},"sharded_mul":{"mean_s":1},"speedup":1,"halo_nnz":1}]`
-		timings = plans + `,"chosen_plan":"branch",` + reorder + `,` + shard
+		timings = plans + `,"chosen_plan":"branch"`
+		serving = `,"inference":[{"concurrency":1,` +
+			`"csr":{"requests":1,"mean_s":1,"p99_s":1},"cbm":{"requests":1,"mean_s":1,"p99_s":1},"speedup":1,` +
+			`"cbm_batched":{"requests":1,"mean_s":1,"p99_s":1},"batched_speedup":1,"mean_batch_cols":1}]`
+		// The v8 blocks v9 dropped, each valid under v8.
+		reorder = `,"reordered":false,"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,` +
+			`"ratio_exact":1,"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1}`
+		shard = `,"shard":[{"shards":2,"unsharded_mul":{"mean_s":1},"sharded_mul":{"mean_s":1},"speedup":1,"halo_nnz":1}]`
 	)
-	doc := func(header, entry string) string {
-		return `{"schema":"cbm-bench/v8",` + header + `,"datasets":[{"name":"x","nodes":1,` + entry + `}]}`
+	docSchema := func(schema, header, entry string) string {
+		return `{"schema":"` + schema + `",` + header + `,"datasets":[{"name":"x","nodes":1,` + entry + `}]}`
 	}
+	doc := func(header, entry string) string { return docSchema(BenchSchema, header, entry) }
 	for name, d := range map[string]string{
 		"wrong schema": `{"schema":"nope/v9","datasets":[{"name":"x","nodes":1}]}`,
 		"stale v1":     `{"schema":"cbm-bench/v1","datasets":[{"name":"x","nodes":1}]}`,
-		"stale v6":     `{"schema":"cbm-bench/v6","datasets":[{"name":"x","nodes":1}]}`,
 		"stale v7":     `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1}]}`,
-		"no datasets":  `{"schema":"cbm-bench/v8",` + machine + `,"datasets":[]}`,
+		"stale v8":     docSchema("cbm-bench/v8", machine, timings+reorder+shard+serving),
+		"no datasets":  `{"schema":"cbm-bench/v9",` + machine + `,"datasets":[]}`,
 		"not json":     `{`,
-		"unknown keys": `{"schema":"cbm-bench/v8",` + machine + `,"bogus":1,"datasets":[]}`,
+		"unknown keys": `{"schema":"cbm-bench/v9",` + machine + `,"bogus":1,"datasets":[]}`,
 
-		"no machine record":     doc(`"threads":2`, timings),
-		"threads above nproc":   doc(`"nproc":2,"gomaxprocs":2,"threads":4`, timings),
-		"dropped fused timing":  doc(machine, timings+`,"cbm_fused":{"mean_s":1}`),
-		"dropped selector":      doc(machine, timings+`,"selector_speedup":1`),
-		"no csr plan timing":    doc(machine, `"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},"chosen_plan":"branch"`),
-		"fused chosen plan":     doc(machine, plans+`,"chosen_plan":"fused"`),
-		"missing chosen plan":   doc(machine, plans),
-		"no reorder block":      doc(machine, plans+`,"chosen_plan":"csr"`),
-		"zero-window reorder":   doc(machine, plans+`,"chosen_plan":"csr",`+strings.Replace(reorder, `"window":64`, `"window":0`, 1)),
-		"zero reordered ratio":  doc(machine, plans+`,"chosen_plan":"csr",`+strings.Replace(reorder, `"ratio_window_reordered":1`, `"ratio_window_reordered":0`, 1)),
-		"unknown reorder order": doc(machine, plans+`,"chosen_plan":"csr",`+strings.Replace(reorder, "minhash", "zcurve", 1)),
-		"no shard block":        doc(machine, plans+`,"chosen_plan":"csr",`+reorder),
-		"zero sharded timing":   doc(machine, plans+`,"chosen_plan":"csr",`+reorder+`,`+strings.Replace(shard, `"sharded_mul":{"mean_s":1}`, `"sharded_mul":{"mean_s":0}`, 1)),
-		"single-shard halo":     doc(machine, plans+`,"chosen_plan":"csr",`+reorder+`,`+strings.Replace(shard, `"shards":2`, `"shards":1`, 1)),
-		"no inference":          doc(machine, timings),
+		"no machine record":    doc(`"threads":2`, timings+serving),
+		"threads above nproc":  doc(`"nproc":2,"gomaxprocs":2,"threads":4`, timings+serving),
+		"dropped fused timing": doc(machine, timings+`,"cbm_fused":{"mean_s":1}`+serving),
+		"dropped selector":     doc(machine, timings+`,"selector_speedup":1`+serving),
+		"dropped reorder":      doc(machine, timings+reorder+serving),
+		"dropped shard":        doc(machine, timings+shard+serving),
+		"no csr plan timing":   doc(machine, `"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},"chosen_plan":"branch"`+serving),
+		"fused chosen plan":    doc(machine, plans+`,"chosen_plan":"fused"`+serving),
+		"missing chosen plan":  doc(machine, plans+serving),
+		"no inference":         doc(machine, timings),
 		"no batched serving": doc(machine, timings+`,"inference":[{"concurrency":1,`+
 			`"csr":{"requests":1,"mean_s":1,"p99_s":1},"cbm":{"requests":1,"mean_s":1,"p99_s":1},"speedup":1}]`),
 	} {
@@ -209,10 +152,7 @@ func TestReadBenchReportRejectsBadDocuments(t *testing.T) {
 		}
 	}
 	// The complete document the cases above break is itself accepted.
-	valid := doc(machine, timings+`,"inference":[{"concurrency":1,`+
-		`"csr":{"requests":1,"mean_s":1,"p99_s":1},"cbm":{"requests":1,"mean_s":1,"p99_s":1},"speedup":1,`+
-		`"cbm_batched":{"requests":1,"mean_s":1,"p99_s":1},"batched_speedup":1,"mean_batch_cols":1}]`)
-	if _, err := ReadBenchReport(strings.NewReader(valid)); err != nil {
+	if _, err := ReadBenchReport(strings.NewReader(doc(machine, timings+serving))); err != nil {
 		t.Fatalf("valid document rejected: %v", err)
 	}
 }

@@ -31,27 +31,6 @@ type Config struct {
 	// Alphas is the α sweep for Fig. 2; empty selects the paper's
 	// {0, 1, 2, 4, 8, 16, 32}.
 	Alphas []int
-	// Reorder switches the headline bench measurements onto the
-	// similarity-reordered graph: the adjacency is permuted once up
-	// front and every backend (CSR and CBM, SpMM and serving) runs on
-	// the permuted matrix with the banded candidate build. The
-	// per-dataset reorder block is measured either way.
-	Reorder bool
-	// ReorderWindow is the candidate band |x−y| ≤ w used by the reorder
-	// block's windowed compressions (0 selects the default, 64). The
-	// exact build is order-invariant, so the banded build is where a
-	// similarity permutation can pay off.
-	ReorderWindow int
-	// ReorderStrategy names the ordering algorithm the reorder block
-	// (and a Reorder headline) runs: "minhash" or "rcm". Empty selects
-	// minhash, the v6 behavior.
-	ReorderStrategy string
-	// ShardCounts are the shard counts the v7 sharded block probes with
-	// paired sharded-vs-unsharded multiplies; empty selects {1, 2, 4, 8}.
-	ShardCounts []int
-	// ShardOrder is the row ordering applied before the contiguous shard
-	// cut ("" or "natural" = input order, "minhash", "rcm").
-	ShardOrder string
 }
 
 // Defaults fills unset fields.
@@ -73,15 +52,6 @@ func (c Config) Defaults() Config {
 	}
 	if len(c.Alphas) == 0 {
 		c.Alphas = []int{0, 1, 2, 4, 8, 16, 32}
-	}
-	if c.ReorderWindow == 0 {
-		c.ReorderWindow = 64
-	}
-	if c.ReorderStrategy == "" {
-		c.ReorderStrategy = "minhash"
-	}
-	if len(c.ShardCounts) == 0 {
-		c.ShardCounts = []int{1, 2, 4, 8}
 	}
 	return c
 }

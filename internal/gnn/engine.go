@@ -25,27 +25,6 @@ type Model interface {
 	OutDim() int
 }
 
-// ScratchProvisioner is implemented by adjacency backends that keep
-// internal per-request scratch behind the ctx lease (the sharded
-// backend's per-shard arena leases). The engine sizes that scratch to
-// its admission bound at construction, so the steady-state request
-// path never builds scratch mid-request.
-type ScratchProvisioner interface {
-	// ProvisionScratch prepares internal scratch for up to n concurrent
-	// multiplies. Called once, before serving.
-	ProvisionScratch(n int)
-}
-
-// ScratchChecker is implemented by adjacency backends that can report
-// leaked internal scratch. The engine enforces the same arena
-// ownership rule on backend-internal arenas as on its own slot arenas:
-// a leak is a panic at slot release, not a warning.
-type ScratchChecker interface {
-	// ScratchLeaks returns the cumulative count of internal scratch
-	// leases lost to leaked buffers; any non-zero value is a bug.
-	ScratchLeaks() int
-}
-
 // EngineConfig configures an Engine.
 type EngineConfig struct {
 	// MaxInFlight bounds concurrently admitted Infer requests, and with
@@ -98,10 +77,6 @@ type Engine struct {
 	ctxs       chan *exec.Ctx
 	clk        clock.Clock
 	b          *batcher // nil when batching is disabled
-	// scratch is adj's ScratchChecker side, resolved once at
-	// construction so the per-request release path performs no type
-	// assertion. nil when the backend keeps no internal scratch.
-	scratch ScratchChecker
 }
 
 // NewEngine builds an engine serving the given model over the given
@@ -121,13 +96,6 @@ func NewEngine(model Model, adj Adjacency, cfg EngineConfig) *Engine {
 	}
 	e := &Engine{model: model, adj: adj, ctxs: make(chan *exec.Ctx, slots), clk: clk}
 	e.batchModel, _ = model.(BatchModel)
-	e.scratch, _ = adj.(ScratchChecker)
-	// A backend with internal per-request scratch (N per-shard arenas
-	// behind one ctx lease) is sized to the admission bound up front, so
-	// no request ever builds scratch mid-flight.
-	if prov, ok := adj.(ScratchProvisioner); ok {
-		prov.ProvisionScratch(slots)
-	}
 	for i := 0; i < slots; i++ {
 		e.ctxs <- exec.New(threads)
 	}
@@ -254,15 +222,6 @@ func (e *Engine) run(ctx *exec.Ctx, out, x *dense.Matrix) {
 func (e *Engine) release(ctx *exec.Ctx) {
 	if n := ctx.Arena().Outstanding(); n != 0 {
 		panic(fmt.Sprintf("gnn: engine request leaked %d arena buffer(s)", n))
-	}
-	// The same rule covers backend-internal scratch: a sharded backend
-	// quarantines a dirty per-shard lease instead of panicking mid-
-	// multiply (another request may still be running on it); the engine
-	// is the enforcement point.
-	if e.scratch != nil {
-		if n := e.scratch.ScratchLeaks(); n != 0 {
-			panic(fmt.Sprintf("gnn: adjacency backend leaked %d internal scratch lease(s)", n))
-		}
 	}
 	e.ctxs <- ctx
 }

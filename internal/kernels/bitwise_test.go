@@ -301,6 +301,43 @@ func TestSpMMRowsBitwisePortable(t *testing.T) {
 	}
 }
 
+// TestSpMMAVXBitwiseNaNOrder pins the operand order of the AVX strip
+// kernel's accumulate. sameBits counts any two NaNs as equal, so the
+// tests above cannot see it: each output element here meets two NaN B
+// entries with distinct payloads. VADDPS returns its first source, the
+// accumulator, when both operands are NaN, so the output must carry
+// the payload of the row's first nonzero in stored order. Widths 8, 16
+// and 32 run the single, pair and quad strip blocks.
+func TestSpMMAVXBitwiseNaNOrder(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX kernel on this CPU")
+	}
+	// Row 0 meets B rows 0 then 1, row 1 meets B rows 2 then 3; every
+	// B element is a quiet NaN whose payload names its row and column.
+	s := &sparse.CSR{Rows: 2, Cols: 4, RowPtr: []int32{0, 2, 4},
+		ColIdx: []int32{0, 1, 2, 3}, Vals: []float32{1, 1, 1, 1}}
+	payload := func(r, j int) uint32 { return 0x7fc00000 | uint32(r)<<12 | uint32(j+1) }
+	for _, n := range []int{8, 16, 32} {
+		b := dense.New(4, n)
+		for r := 0; r < 4; r++ {
+			for j := 0; j < n; j++ {
+				b.Set(r, j, math.Float32frombits(payload(r, j)))
+			}
+		}
+		c := dense.New(2, n)
+		SpMMTo(c, s, b, 1)
+		for i := 0; i < 2; i++ {
+			for j := 0; j < n; j++ {
+				got, want := math.Float32bits(c.At(i, j)), payload(2*i, j)
+				if got != want {
+					t.Fatalf("n=%d c[%d,%d] bits %#x, want %#x (first nonzero's NaN); %#x is the second's",
+						n, i, j, got, want, payload(2*i+1, j))
+				}
+			}
+		}
+	}
+}
+
 // treeValue draws an element for the update-kernel tests: mostly
 // ordinary values, plus ±0, ±1, ±Inf and NaNs with random sign and
 // payload, so a kernel that swaps the operands of an add or a multiply

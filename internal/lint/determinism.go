@@ -38,8 +38,7 @@ var Determinism = &Analyzer{
 func determinismScope(pkgPath string) bool {
 	switch pkgPath {
 	case "repro/internal/cbm", "repro/internal/kernels", "repro/internal/gnn",
-		"repro/internal/exec", "repro/internal/parallel", "repro/internal/reorder",
-		"repro/internal/shard":
+		"repro/internal/exec", "repro/internal/parallel":
 		return true
 	}
 	return false

@@ -60,8 +60,6 @@ func TestDeterminismScope(t *testing.T) {
 		"repro/internal/gnn":      true,
 		"repro/internal/exec":     true,
 		"repro/internal/parallel": true,
-		"repro/internal/reorder":  true,
-		"repro/internal/shard":    true,
 		"repro/internal/clock":    false, // the clock seam wraps time itself
 		"repro/internal/bench":    false, // measurement code reads real time
 		"repro/cmd/gcnserve":      false,

@@ -66,15 +66,6 @@ const (
 	// flush start. Its mean is the latency price of coalescing, bounded
 	// by the configured flush window.
 	StageBatchWait
-	// StageReorder is the similarity row-ordering pass
-	// (internal/reorder.Build): signature computation plus the sort.
-	StageReorder
-	// StageShard is one shard's intra-block CBM multiply inside a
-	// sharded adjacency product (internal/shard).
-	StageShard
-	// StageHalo is one shard's halo exchange: gathering frontier rows of
-	// the operand and accumulating the cross-shard CSR remainder.
-	StageHalo
 	// StageGemm is one dense X·W product of a gnn.Linear layer
 	// (dense.MulTo), the combination step of a GNN layer.
 	StageGemm
@@ -96,9 +87,6 @@ var stageNames = [numStages]string{
 	StageEngine:     "engine",
 	StageBatch:      "batch",
 	StageBatchWait:  "batch_wait",
-	StageReorder:    "reorder",
-	StageShard:      "shard",
-	StageHalo:       "halo",
 	StageGemm:       "gemm",
 	StageActivation: "activation",
 }
@@ -164,17 +152,6 @@ const (
 	// CounterBatchShedQueue counts TryInferTo-style rejections because
 	// the batch submit queue was saturated.
 	CounterBatchShedQueue
-	// CounterShardMuls counts sharded-adjacency multiplies (one per
-	// MulTo/MulToCtx over all shards, not per shard).
-	CounterShardMuls
-	// CounterHaloNNZ accumulates the halo (cross-shard) nonzeros touched
-	// per sharded multiply; halo_nnz/shard_muls is the mean exchange
-	// volume per product.
-	CounterHaloNNZ
-	// CounterShardImbalancePermille records, once per sharded-adjacency
-	// build, the nnz imbalance of the partition: 1000·(max shard nnz −
-	// mean shard nnz)/mean. A perfectly balanced cut adds 0.
-	CounterShardImbalancePermille
 
 	numCounters
 )
@@ -196,10 +173,6 @@ var counterNames = [numCounters]string{
 	CounterBatchFlushBudget:  "batch_flush_budget",
 	CounterBatchShedDeadline: "batch_shed_deadline",
 	CounterBatchShedQueue:    "batch_shed_queue",
-
-	CounterShardMuls:              "shard_muls",
-	CounterHaloNNZ:                "halo_nnz",
-	CounterShardImbalancePermille: "shard_imbalance_permille",
 }
 
 func (c Counter) String() string {

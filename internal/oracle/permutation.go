@@ -1,11 +1,11 @@
-// Permutation checks: the correctness contract of the similarity
-// row-reordering pass (internal/reorder). Two properties are asserted:
-// the symmetric permutation itself is exactly invertible (structural,
-// bitwise), and the reordered multiply path — compress P·A·Pᵀ, gather
-// the operand, multiply, scatter the product — matches the raw-order
-// product within floating-point tolerance. Tolerance, not bitwise:
-// relabelling columns reorders the additions inside every output
-// element, and float addition does not commute in rounding.
+// Permutation checks: the exact CBM build does not depend on vertex
+// order. Two properties are asserted: the symmetric permutation itself
+// is exactly invertible (structural, bitwise), and the permuted multiply
+// path — compress P·A·Pᵀ, gather the operand, multiply, scatter the
+// product — matches the raw-order product within floating-point
+// tolerance. Tolerance, not bitwise: relabelling columns reorders the
+// additions inside every output element, and float addition does not
+// commute in rounding.
 
 package oracle
 
@@ -20,7 +20,7 @@ import (
 // CheckPermutationRoundTrip verifies that the symmetric permutation is
 // exactly invertible: P⁻¹·(P·A·Pᵀ)·P⁻ᵀ must equal A bitwise (row
 // pointers, column indices and values). perm maps new position →
-// source row, the internal/reorder convention.
+// source row, the sparse.CSR.PermuteSymmetric convention.
 func CheckPermutationRoundTrip(a *sparse.CSR, perm []int32) error {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("oracle: CheckPermutationRoundTrip needs a square matrix, got %d×%d", a.Rows, a.Cols))
@@ -56,12 +56,11 @@ func CheckPermutationRoundTrip(a *sparse.CSR, perm []int32) error {
 // compressing the permuted matrix and multiplying the permuted operand
 // must — after scattering the product back to original row order —
 // match the raw-order CBM product within tol. The compression tree is
-// rebuilt on P·A·Pᵀ, so the check exercises the whole reordered
+// rebuilt on P·A·Pᵀ, so the check exercises the whole permuted
 // pipeline, not just the gather/scatter bookkeeping. It also verifies
-// the exact structural ratio invariance claim: with opt.Window == 0 the
-// permuted compression must occupy exactly the raw compression's
-// footprint (the candidate pass is global and the tree solvers are
-// optimal, DESIGN.md).
+// the exact structural ratio invariance claim: the permuted compression
+// must occupy exactly the raw compression's footprint (the candidate
+// pass is global and the tree solvers are optimal, DESIGN.md).
 func CheckPermutationEquivalence(a *sparse.CSR, perm []int32, b *dense.Matrix, opt cbm.Options, threads int, tol Tolerance) error {
 	if len(perm) != a.Rows {
 		panic(fmt.Sprintf("oracle: CheckPermutationEquivalence permutation length %d, want %d", len(perm), a.Rows))
@@ -78,8 +77,8 @@ func CheckPermutationEquivalence(a *sparse.CSR, perm []int32, b *dense.Matrix, o
 	if err != nil {
 		return fmt.Errorf("permutation equivalence: compress permuted: %w", err)
 	}
-	if opt.Window == 0 && mp.FootprintBytes() != m.FootprintBytes() {
-		return fmt.Errorf("permutation equivalence: unwindowed footprint changed under permutation: %d vs %d bytes",
+	if mp.FootprintBytes() != m.FootprintBytes() {
+		return fmt.Errorf("permutation equivalence: footprint changed under permutation: %d vs %d bytes",
 			mp.FootprintBytes(), m.FootprintBytes())
 	}
 
@@ -97,7 +96,7 @@ func CheckPermutationEquivalence(a *sparse.CSR, perm []int32, b *dense.Matrix, o
 		copy(got.Row(int(s)), cp.Row(i))
 	}
 	if d := Compare(got, want, tol); d != nil {
-		return fmt.Errorf("permutation equivalence (threads=%d, window=%d): %w", threads, opt.Window, d)
+		return fmt.Errorf("permutation equivalence (threads=%d): %w", threads, d)
 	}
 	return nil
 }

@@ -1,8 +1,7 @@
-// Symmetric permutation of a square sparse matrix — the transform that
-// carries a row reordering (internal/reorder) through the graph: the
-// reordered adjacency is P·A·Pᵀ, with rows and columns relabelled by
-// the same permutation so the matrix still describes the same graph
-// under new vertex names.
+// Symmetric permutation of a square sparse matrix: P·A·Pᵀ relabels
+// rows and columns by the same permutation, so the matrix still
+// describes the same graph under new vertex names. The oracle uses it to
+// check that the exact CBM build does not depend on vertex order.
 
 package sparse
 
