@@ -393,37 +393,6 @@ func fromAdjForTest(n int, adj [][]int32) *sparse.CSR {
 	return sparse.FromAdjacency(n, n, adj)
 }
 
-func TestAutoTune(t *testing.T) {
-	a := synth.SBMGroups(400, 20, 0.85, 0.3, 15)
-	b, err := NewBuilder(a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, alpha, frontier, err := AutoTune(b, []int{0, 8, 32}, 8, 1, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best == nil || len(frontier) != 3 {
-		t.Fatalf("best=%v frontier=%d", best, len(frontier))
-	}
-	found := false
-	for _, f := range frontier {
-		if f.Alpha == alpha {
-			found = true
-		}
-		if f.Seconds <= 0 || f.Ratio <= 0 {
-			t.Fatalf("bad frontier point %+v", f)
-		}
-	}
-	if !found {
-		t.Fatalf("winning alpha %d not in frontier", alpha)
-	}
-	// defaults path
-	if _, _, fr, err := AutoTune(b, nil, 0, 0, 1, 3); err != nil || len(fr) != 7 {
-		t.Fatalf("defaults: %v %d", err, len(fr))
-	}
-}
-
 func TestTreeDepthChainAndStar(t *testing.T) {
 	// chain 0←1←2←3 (0 is virtual child)
 	chain := []int32{-1, 0, 1, 2}

@@ -85,16 +85,17 @@ func Decode(r io.Reader) (*Matrix, error) {
 	n := int(n64)
 	nnz := int(nnz64)
 
+	// The header's sizes are untrusted until the payload backs them, so
+	// every array grows only as its bytes arrive (readWords).
+	wr := &wordReader{r: br, buf: make([]byte, 4*decodeChunk)}
 	delta := &sparse.CSR{Rows: n, Cols: n,
-		RowPtr: make([]int32, n+1),
-		ColIdx: make([]int32, nnz),
-		Vals:   make([]float32, nnz),
+		RowPtr: readWords(wr, n+1, int32FromBits),
+		ColIdx: readWords(wr, nnz, int32FromBits),
+		Vals:   readWords(wr, nnz, math.Float32frombits),
 	}
-	parent := make([]int32, n)
-	for _, chunk := range []interface{}{delta.RowPtr, delta.ColIdx, delta.Vals, parent} {
-		if err := binary.Read(br, binary.LittleEndian, chunk); err != nil {
-			return nil, fmt.Errorf("cbm: reading payload: %w", err)
-		}
+	parent := readWords(wr, n, int32FromBits)
+	if wr.err != nil {
+		return nil, fmt.Errorf("cbm: reading payload: %w", wr.err)
 	}
 	if err := delta.Validate(); err != nil {
 		return nil, fmt.Errorf("cbm: corrupt delta matrix: %w", err)
@@ -106,9 +107,8 @@ func Decode(r io.Reader) (*Matrix, error) {
 	}
 	m := &Matrix{n: n, kind: kind, delta: delta, parent: parent}
 	if kind == KindDAD {
-		m.diag = make([]float32, n)
-		if err := binary.Read(br, binary.LittleEndian, m.diag); err != nil {
-			return nil, fmt.Errorf("cbm: reading diagonal: %w", err)
+		if m.diag = readWords(wr, n, math.Float32frombits); wr.err != nil {
+			return nil, fmt.Errorf("cbm: reading diagonal: %w", wr.err)
 		}
 		for i, d := range m.diag {
 			if d == 0 {
@@ -123,6 +123,47 @@ func Decode(r io.Reader) (*Matrix, error) {
 		return nil, fmt.Errorf("cbm: parent pointers contain a cycle (%d of %d rows reachable)", covered, n)
 	}
 	return m, nil
+}
+
+// decodeChunk is how many 32-bit words Decode reads per step.
+const decodeChunk = 1 << 14
+
+// wordReader reads the container's little-endian 32-bit arrays. Its
+// error is sticky: after the first failed read, readWords returns nil.
+type wordReader struct {
+	r   io.Reader
+	buf []byte // 4·decodeChunk bytes
+	err error
+}
+
+func int32FromBits(u uint32) int32 { return int32(u) }
+
+// readWords reads count words, converting each with conv. The result
+// grows geometrically, capped at count, only as words arrive: a stream
+// whose header overstates its payload fails at EOF having allocated
+// about twice the bytes it held, never count words up front.
+func readWords[T int32 | float32](wr *wordReader, count int, conv func(uint32) T) []T {
+	if wr.err != nil {
+		return nil
+	}
+	out := make([]T, 0, min(count, decodeChunk))
+	for len(out) < count {
+		k := min(decodeChunk, count-len(out))
+		buf := wr.buf[:4*k]
+		if _, err := io.ReadFull(wr.r, buf); err != nil {
+			wr.err = err
+			return nil
+		}
+		if cap(out)-len(out) < k {
+			grown := make([]T, len(out), min(count, max(2*cap(out), len(out)+k)))
+			copy(grown, out)
+			out = grown
+		}
+		for i := 0; i < k; i++ {
+			out = append(out, conv(binary.LittleEndian.Uint32(buf[4*i:])))
+		}
+	}
+	return out
 }
 
 // WriteDOT renders the compression tree in Graphviz DOT format: one

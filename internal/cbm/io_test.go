@@ -2,7 +2,9 @@ package cbm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -104,6 +106,33 @@ func TestReadRejectsCorruptContainers(t *testing.T) {
 		if _, err := Decode(bytes.NewReader(corrupt(good))); err == nil {
 			t.Fatalf("%s: corrupt container accepted", name)
 		}
+	}
+}
+
+// A header that declares large arrays but carries no payload must fail
+// at EOF without allocating arrays of the declared size: Decode grows
+// each array only as its bytes arrive.
+func TestDecodeHeaderOnlyStreamAllocatesLittle(t *testing.T) {
+	const n = 1 << 22
+	var hdr bytes.Buffer
+	hdr.Write(magic[:])
+	hdr.WriteByte(byte(KindA))
+	_ = binary.Write(&hdr, binary.LittleEndian, uint64(n)) // n
+	_ = binary.Write(&hdr, binary.LittleEndian, uint64(n)) // nnz
+	if hdr.Len() != 21 {
+		t.Fatalf("header is %d bytes, want 21", hdr.Len())
+	}
+	stream := hdr.Bytes()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header-only stream accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("Decode allocated %d bytes for a %d-byte stream declaring n = nnz = %d (limit 1 MiB)", got, len(stream), n)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/dense"
+	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/synth"
 	"repro/internal/xrand"
@@ -107,14 +109,14 @@ func TestPlanRuleOnRegistry(t *testing.T) {
 	}
 }
 
-// AutoTune's per-stage split must be scoped to its own measurement. A
+// A recorder-scoped context must see only its own stage spans. A
 // background goroutine hammering two-stage multiplies on an unrelated
 // matrix (recording update spans into the GLOBAL obs totals) must not
-// leak into the frontier: the tuned graph barely compresses, so its own
-// plan is CSR and records no update span at all.
-func TestAutoTuneScopedStagesUnderConcurrency(t *testing.T) {
+// leak into the scoped split: the measured graph barely compresses, so
+// its own plan is CSR and records no update span at all.
+func TestMulToCtxScopedStagesUnderConcurrency(t *testing.T) {
 	a := synth.ErdosRenyi(600, 6, 101)
-	builder, err := NewBuilder(a, Options{})
+	m, _, err := Compress(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +128,8 @@ func TestAutoTuneScopedStagesUnderConcurrency(t *testing.T) {
 	rng := xrand.New(107)
 	nb := randomDense(rng, noise.Rows, 32)
 	nc := dense.New(noise.Rows, nb.Cols)
+	b := randomDense(rng, a.Rows, 32)
+	c := dense.New(a.Rows, b.Cols)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -136,22 +140,24 @@ func TestAutoTuneScopedStagesUnderConcurrency(t *testing.T) {
 			nm.MulToStrategy(nc, nb, 1, StrategyBranch)
 		}
 	}()
-	_, _, frontier, err := AutoTune(builder, []int{0, 4}, 32, 3, 1, 109)
+	rec := obs.NewRecorder()
+	ctx := exec.NewWithSink(1, rec)
+	const calls = 20
+	for i := 0; i < calls; i++ {
+		m.MulToCtx(ctx, c, b)
+	}
 	stop.Store(true)
 	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
+	if plan := m.PlanFor(ctx.Threads(), b.Cols); plan != StrategyCSR {
+		t.Fatalf("plan %v, want the CSR plan on an incompressible graph", plan)
 	}
-	for _, res := range frontier {
-		if res.Plan != StrategyCSR.String() {
-			t.Fatalf("alpha=%d: plan %q, want the CSR plan on an incompressible graph", res.Alpha, res.Plan)
-		}
-		if res.UpdateSeconds != 0 {
-			t.Fatalf("alpha=%d: update stage shows %.4gs — background goroutine's spans leaked into the scoped split",
-				res.Alpha, res.UpdateSeconds)
-		}
-		if res.SpMMSeconds <= 0 {
-			t.Fatalf("alpha=%d: the scoped recorder saw no spmm span", res.Alpha)
-		}
+	if n, _ := rec.StageTotals(obs.StageUpdate); n != 0 {
+		t.Fatalf("scoped recorder saw %d update spans — the background goroutine's spans leaked in", n)
+	}
+	if n, _ := rec.StageTotals(obs.StageSpMM); n != calls {
+		t.Fatalf("scoped recorder saw %d spmm spans, want %d", n, calls)
+	}
+	if gn, _ := obs.StageTotals(obs.StageUpdate); gn == 0 {
+		t.Fatal("background two-stage multiplies recorded no global update span")
 	}
 }

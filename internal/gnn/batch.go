@@ -15,12 +15,11 @@ import (
 // one forward pass. InferBatchTo must produce, for every request i,
 // output bitwise identical to InferTo(ctx, outs[i], a, xs[i]) — the
 // engine's batched path is only allowed to change *when* work runs,
-// never *what* it computes. GCN2 and GCNStack implement it by running
-// the dense transforms per request (identical to the solo path) and
-// the sparse aggregation once over the column-concatenation of all
-// requests — the wide SpMM whose per-column amortization is the whole
-// point of micro-batching (cf. BENCH_cbm.json: the CBM serving win
-// grows with concurrency because SpMM cost amortizes over columns).
+// never *what* it computes. GCN2 implements it by running the dense
+// transforms per request (identical to the solo path) and the sparse
+// aggregation once over the column-concatenation of all requests — the
+// wide SpMM whose per-column amortization is the point of
+// micro-batching.
 type BatchModel interface {
 	Model
 	// InferBatchTo serves len(xs) requests at once, writing request i's
@@ -59,17 +58,16 @@ func scatterCols(dst *dense.Matrix, src *dense.Matrix, off int) {
 	}
 }
 
-// inferStackBatchTo is the shared batched forward behind GCN2 and
-// GCNStack: per layer, each request's dense transform H·W runs exactly
-// as it does solo (same kernel, same shapes, same operation order),
-// and the sparse aggregation Â·(H·W) runs ONCE on the column
-// concatenation of every request's transform. Output columns of every
-// multiply kernel in this repository depend only on the matching input
-// columns — each element accumulates over the row's nonzeros in a
-// fixed order, never across columns — so the slice of the wide product
-// belonging to request i is bitwise identical to the narrow product
-// request i would have computed alone (asserted by the batch tests on
-// both backends).
+// inferStackBatchTo is the batched forward behind GCN2: per layer,
+// each request's dense transform H·W runs exactly as it does solo
+// (same kernel, same shapes, same operation order), and the sparse
+// aggregation Â·(H·W) runs ONCE on the column concatenation of every
+// request's transform. Output columns of every multiply kernel in this
+// repository depend only on the matching input columns — each element
+// accumulates over the row's nonzeros in a fixed order, never across
+// columns — so the slice of the wide product belonging to request i is
+// bitwise identical to the narrow product request i would have
+// computed alone (asserted by the batch tests on both backends).
 //
 //cbm:hotpath
 func inferStackBatchTo(ctx *exec.Ctx, outs []*dense.Matrix, layers []*GCNConv, a Adjacency, xs []*dense.Matrix) {
@@ -82,7 +80,7 @@ func inferStackBatchTo(ctx *exec.Ctx, outs []*dense.Matrix, layers []*GCNConv, a
 	}
 	if k == 1 {
 		// A batch of one is exactly a solo request; skip the copies.
-		InferStackTo(ctx, outs[0], layers, a, xs[0])
+		inferStackTo(ctx, outs[0], layers, a, xs[0])
 		return
 	}
 	sp := ctx.Begin(obs.StageInfer)
@@ -153,12 +151,13 @@ type BatchConfig struct {
 	// pending requests reach it, the batch flushes immediately instead
 	// of waiting out the window. 0 means 8× the model's input width.
 	MaxCols int
-	// MaxQueue is the submit-queue capacity — requests that can wait
-	// for the next flush beyond the one being gathered. 0 means 4× the
-	// engine's slot count; negative means a rendezvous queue (every
-	// submit waits for the scheduler to accept it personally).
-	MaxQueue int
 }
+
+// queuePerSlot sizes the batcher's submit queue: requests that can wait
+// for the next flush beyond the one being gathered, per engine slot.
+// Deep enough that submitters rarely block on the flusher while it
+// executes a batch; the queue is bounded so memory stays bounded.
+const queuePerSlot = 4
 
 // flush reasons, recorded as counters so tests and operators can see
 // why batches closed.
@@ -168,27 +167,16 @@ const (
 	flushDrain         // Close drained the queue
 )
 
-// batchOutcome is what the scheduler reports back to one waiting
-// request.
-type batchOutcome struct {
-	// panicVal, when non-nil, is a panic recovered from the batch
-	// execution; the submitting goroutine re-panics with it so batched
-	// and unbatched failure surfaces match.
-	panicVal any
-	// shed reports the request was dropped at flush because its
-	// deadline had expired.
-	shed bool
-}
-
 // batchReq is one queued request. Requests are pooled on a free list
 // (done channel included), so the steady-state submit path allocates
-// nothing.
+// nothing. done carries the batch's outcome: nil when it was served, or
+// a panic recovered from the batch execution, which the submitting
+// goroutine re-raises so batched and unbatched failure surfaces match.
 type batchReq struct {
-	out, x   *dense.Matrix
-	deadline time.Time // zero = no deadline
-	wait     obs.Span  // queue-wait span: submit → flush start
-	done     chan batchOutcome
-	next     *batchReq
+	out, x *dense.Matrix
+	wait   obs.Span // queue-wait span: submit → flush start
+	done   chan any
+	next   *batchReq
 }
 
 // batcher is the micro-batching scheduler: a single goroutine (the
@@ -198,7 +186,6 @@ type batchReq struct {
 // one wide arena lease — however many requests it coalesces.
 type batcher struct {
 	eng     *Engine
-	clk     clock.Clock
 	window  time.Duration
 	maxCols int
 
@@ -209,9 +196,7 @@ type batcher struct {
 	pendingCols int
 	timer       clock.Timer
 	armed       bool
-	serve       []*batchReq // per-flush scratch, reused
-	shed        []*batchReq
-	outs        []*dense.Matrix
+	outs        []*dense.Matrix // per-flush scratch, reused
 	xs          []*dense.Matrix
 
 	freeMu sync.Mutex
@@ -232,23 +217,19 @@ func newBatcher(e *Engine, cfg EngineConfig) *batcher {
 	if maxCols <= 0 {
 		maxCols = 8 * e.model.InDim()
 	}
-	queue := cfg.Batch.MaxQueue
-	switch {
-	case queue < 0:
-		queue = 0
-	case queue == 0:
-		queue = 4 * cap(e.ctxs)
-	}
 	b := &batcher{
 		eng:     e,
-		clk:     e.clk,
 		window:  cfg.Batch.Window,
 		maxCols: maxCols,
-		submit:  make(chan *batchReq, queue),
+		submit:  make(chan *batchReq, queuePerSlot*cap(e.ctxs)),
 		stopc:   make(chan struct{}),
 		donec:   make(chan struct{}),
 	}
-	b.timer = b.clk.NewTimer()
+	clk := cfg.Clock
+	if clk == nil {
+		clk = clock.System()
+	}
+	b.timer = clk.NewTimer()
 	return b
 }
 
@@ -322,11 +303,9 @@ func (b *batcher) growPending() {
 // requests without growing mid-flush. Cold beyond new high-water
 // marks: it reallocates only when a batch is larger than any before.
 func (b *batcher) ensureScratch(n int) {
-	if cap(b.serve) >= n {
+	if cap(b.outs) >= n {
 		return
 	}
-	b.serve = make([]*batchReq, 0, n)
-	b.shed = make([]*batchReq, 0, n)
 	b.outs = make([]*dense.Matrix, 0, n)
 	b.xs = make([]*dense.Matrix, 0, n)
 }
@@ -352,9 +331,8 @@ func (b *batcher) stopTimer() {
 	}
 }
 
-// flush executes the pending batch: expired-deadline requests are
-// shed, the rest run as one wide forward pass on one leased context,
-// and every waiter hears its outcome.
+// flush executes the pending batch as one wide forward pass on one
+// leased context, and every waiter hears its outcome.
 //
 //cbm:hotpath
 func (b *batcher) flush(reason int) {
@@ -365,55 +343,37 @@ func (b *batcher) flush(reason int) {
 	case flushBudget:
 		obs.Inc(obs.CounterBatchFlushBudget)
 	}
-	now := b.clk.Now()
 	b.ensureScratch(len(b.pending))
-	b.serve, b.shed = b.serve[:0], b.shed[:0]
 	b.outs, b.xs = b.outs[:0], b.xs[:0]
-	cols := 0
-	for i, r := range b.pending {
+	for _, r := range b.pending {
 		r.wait.End()
-		if !r.deadline.IsZero() && now.After(r.deadline) {
-			obs.Inc(obs.CounterBatchShedDeadline)
-			b.shed = b.shed[:len(b.shed)+1]
-			b.shed[len(b.shed)-1] = r
-		} else {
-			b.serve = b.serve[:len(b.serve)+1]
-			b.serve[len(b.serve)-1] = r
-			b.outs = b.outs[:len(b.outs)+1]
-			b.outs[len(b.outs)-1] = r.out
-			b.xs = b.xs[:len(b.xs)+1]
-			b.xs[len(b.xs)-1] = r.x
-			cols += r.x.Cols
-		}
+		b.outs = b.outs[:len(b.outs)+1]
+		b.outs[len(b.outs)-1] = r.out
+		b.xs = b.xs[:len(b.xs)+1]
+		b.xs[len(b.xs)-1] = r.x
+	}
+	obs.Add(obs.CounterBatchRequests, int64(len(b.pending)))
+	obs.Add(obs.CounterBatchCols, int64(b.pendingCols))
+
+	// One wide lease per batch: the whole batch is admitted as a single
+	// tenant of one execution slot.
+	ctx := <-b.eng.ctxs
+	pv := b.runBatch(ctx)
+	if n := ctx.Arena().Outstanding(); n != 0 {
+		// The leak check every unbatched release performs, applied per
+		// batch. The context is poisoned — handing it to the next
+		// tenant would alias its scratch — so the slot retires and
+		// every waiter panics instead.
+		pv = leakMsg(n)
+	} else {
+		b.eng.ctxs <- ctx
+	}
+	for i, r := range b.pending {
+		r.done <- pv
 		b.pending[i] = nil
 	}
 	b.pending = b.pending[:0]
 	b.pendingCols = 0
-
-	var pv any
-	if len(b.serve) > 0 {
-		obs.Add(obs.CounterBatchRequests, int64(len(b.serve)))
-		obs.Add(obs.CounterBatchCols, int64(cols))
-		// One wide lease per batch: the whole batch is admitted as a
-		// single tenant of one execution slot.
-		ctx := <-b.eng.ctxs
-		pv = b.runBatch(ctx)
-		if n := ctx.Arena().Outstanding(); n != 0 {
-			// The leak check every unbatched release performs, applied
-			// per batch. The context is poisoned — handing it to the
-			// next tenant would alias its scratch — so the slot
-			// retires and every waiter panics instead.
-			pv = leakMsg(n)
-		} else {
-			b.eng.ctxs <- ctx
-		}
-	}
-	for _, r := range b.serve {
-		r.done <- batchOutcome{panicVal: pv}
-	}
-	for _, r := range b.shed {
-		r.done <- batchOutcome{shed: true}
-	}
 }
 
 // runBatch executes the gathered requests on the leased context,
@@ -424,7 +384,7 @@ func (b *batcher) flush(reason int) {
 func (b *batcher) runBatch(ctx *exec.Ctx) (pv any) {
 	defer func() { pv = recover() }()
 	sp := ctx.Begin(obs.StageBatch)
-	for range b.serve {
+	for range b.outs {
 		ctx.Inc(obs.CounterEngineInfers)
 	}
 	if bm := b.eng.batchModel; bm != nil {
@@ -440,33 +400,19 @@ func (b *batcher) runBatch(ctx *exec.Ctx) (pv any) {
 	return nil
 }
 
-// do submits one request and blocks until its outcome. block=false
-// uses non-blocking queue admission (TryInferTo semantics): a full
-// submit queue sheds the request instead of waiting. Reports whether
-// the request was served.
+// do submits one request and blocks until its batch has executed.
 //
 //cbm:hotpath
-func (b *batcher) do(out, x *dense.Matrix, deadline time.Time, block bool) bool {
+func (b *batcher) do(out, x *dense.Matrix) {
 	r := b.getReq()
-	r.out, r.x, r.deadline = out, x, deadline
+	r.out, r.x = out, x
 	r.wait = obs.Begin(obs.StageBatchWait)
-	if block {
-		b.submit <- r
-	} else {
-		select {
-		case b.submit <- r:
-		default:
-			obs.Inc(obs.CounterBatchShedQueue)
-			b.putReq(r)
-			return false
-		}
-	}
-	oc := <-r.done
+	b.submit <- r
+	pv := <-r.done
 	b.putReq(r)
-	if oc.panicVal != nil {
-		panic(oc.panicVal)
+	if pv != nil {
+		panic(pv)
 	}
-	return !oc.shed
 }
 
 // close stops the flusher after it drains already-queued requests.
@@ -497,7 +443,7 @@ func (b *batcher) getReq() *batchReq {
 // newBatchReq allocates a fresh pooled request, done channel included.
 // Cold: the free list serves the steady state.
 func newBatchReq() *batchReq {
-	return &batchReq{done: make(chan batchOutcome, 1)}
+	return &batchReq{done: make(chan any, 1)}
 }
 
 // putReq returns a request to the pool, dropping matrix references so
@@ -506,7 +452,6 @@ func newBatchReq() *batchReq {
 //cbm:hotpath
 func (b *batcher) putReq(r *batchReq) {
 	r.out, r.x = nil, nil
-	r.deadline = time.Time{}
 	r.wait = obs.Span{}
 	b.freeMu.Lock()
 	r.next = b.free

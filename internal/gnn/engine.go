@@ -2,7 +2,6 @@ package gnn
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/dense"
@@ -12,8 +11,8 @@ import (
 )
 
 // Model is a GNN whose forward pass can write its logits into a
-// caller-owned buffer through an execution context. GCN2 and GCNStack
-// implement it; Engine serves any implementation.
+// caller-owned buffer through an execution context. GCN2 implements
+// it; Engine serves any implementation.
 type Model interface {
 	// InferTo runs the forward pass on backend a, writing the logits
 	// into out (n×OutDim). Implementations borrow scratch from ctx and
@@ -43,7 +42,7 @@ type EngineConfig struct {
 	Batch BatchConfig
 	// Clock supplies time to the batching scheduler. nil means the
 	// system clock; tests inject a clock.Fake to drive flush windows
-	// and deadlines deterministically.
+	// deterministically.
 	Clock clock.Clock
 }
 
@@ -75,7 +74,6 @@ type Engine struct {
 	batchModel BatchModel
 	adj        Adjacency
 	ctxs       chan *exec.Ctx
-	clk        clock.Clock
 	b          *batcher // nil when batching is disabled
 }
 
@@ -90,11 +88,7 @@ func NewEngine(model Model, adj Adjacency, cfg EngineConfig) *Engine {
 	if threads <= 0 {
 		threads = 1
 	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.System()
-	}
-	e := &Engine{model: model, adj: adj, ctxs: make(chan *exec.Ctx, slots), clk: clk}
+	e := &Engine{model: model, adj: adj, ctxs: make(chan *exec.Ctx, slots)}
 	e.batchModel, _ = model.(BatchModel)
 	for i := 0; i < slots; i++ {
 		e.ctxs <- exec.New(threads)
@@ -115,9 +109,6 @@ func (e *Engine) Rows() int { return e.adj.Rows() }
 // OutDim returns the served model's output width.
 func (e *Engine) OutDim() int { return e.model.OutDim() }
 
-// Batching reports whether cross-request micro-batching is enabled.
-func (e *Engine) Batching() bool { return e.b != nil }
-
 // Close shuts down the batching scheduler, if any: already-queued
 // requests are served (one final drain flush), then the flusher
 // goroutine exits and further batched submissions would block forever
@@ -132,8 +123,7 @@ func (e *Engine) Close() {
 // InferTo serves one inference request, writing the logits for input
 // x (n×InDim) into the caller-owned out (n×OutDim). It blocks until
 // an execution slot frees (unbatched) or until its micro-batch has
-// executed (batched); use TryInferTo for load-shedding admission.
-// Safe for concurrent use.
+// executed (batched). Safe for concurrent use.
 //
 //cbm:hotpath
 func (e *Engine) InferTo(out, x *dense.Matrix) {
@@ -142,54 +132,11 @@ func (e *Engine) InferTo(out, x *dense.Matrix) {
 		// request must panic its own caller, never poison the batch it
 		// would have joined.
 		e.checkShapes(out, x)
-		e.b.do(out, x, time.Time{}, true)
+		e.b.do(out, x)
 		return
 	}
 	ctx := <-e.ctxs
 	e.run(ctx, out, x)
-}
-
-// TryInferTo is InferTo with non-blocking admission: it reports false
-// without touching out when every execution slot is busy (unbatched)
-// or the batch submit queue is saturated (batched), letting
-// latency-sensitive callers shed load instead of queueing. The shed
-// decision precedes validation, so a malformed request that would be
-// shed is shed, not panicked.
-//
-//cbm:hotpath
-func (e *Engine) TryInferTo(out, x *dense.Matrix) bool {
-	if e.b != nil {
-		e.checkShapes(out, x)
-		return e.b.do(out, x, time.Time{}, false)
-	}
-	select {
-	case ctx := <-e.ctxs:
-		e.run(ctx, out, x)
-		return true
-	default:
-		return false
-	}
-}
-
-// InferDeadline is InferTo with a latency contract: a request whose
-// deadline has already expired when its batch flushes is shed — out is
-// left untouched and InferDeadline reports false — instead of being
-// served uselessly late. The deadline is checked only at flush
-// decisions, so a served request may still complete after its deadline
-// (execution is never aborted mid-batch); what the contract rules out
-// is *starting* work for a caller that has already given up. On an
-// engine without batching there is no flush decision and every request
-// is served.
-//
-//cbm:hotpath
-func (e *Engine) InferDeadline(out, x *dense.Matrix, deadline time.Time) bool {
-	if e.b != nil {
-		e.checkShapes(out, x)
-		return e.b.do(out, x, deadline, true)
-	}
-	ctx := <-e.ctxs
-	e.run(ctx, out, x)
-	return true
 }
 
 // Infer is the allocating convenience wrapper around InferTo.

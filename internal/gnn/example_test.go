@@ -33,11 +33,3 @@ func ExampleGCN2_Infer() {
 	// Output:
 	// shape 100×3, agree within 1e-5: true
 }
-
-// ExampleGCNStack shows a deeper model via the stack API.
-func ExampleGCNStack() {
-	stack := gnn.NewGCNStack([]int{16, 32, 32, 4}, 7)
-	fmt.Println("layers:", stack.Depth())
-	// Output:
-	// layers: 3
-}

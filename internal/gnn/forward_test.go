@@ -104,6 +104,10 @@ func TestGCN2InferToBitwise(t *testing.T) {
 	}
 }
 
+// TestInferStackToBitwise checks the layer loop behind GCN2.InferTo on
+// a three-layer stack, so the arena ping-pong releases an intermediate
+// while another is live: its output must equal layer-by-layer Forward
+// with ReLU between, bit for bit, and leave no buffer borrowed.
 func TestInferStackToBitwise(t *testing.T) {
 	csr, cbmB := testBackends(t, 46, 160)
 	rng := xrand.New(47)
@@ -114,45 +118,22 @@ func TestInferStackToBitwise(t *testing.T) {
 	}
 	x := randomFeatures(rng, csr.Rows(), 9)
 	for _, a := range []Adjacency{csr, cbmB} {
-		want := InferStack(layers, a, x, 2)
+		want := x
+		for i, l := range layers {
+			want = l.Forward(a, want, 2)
+			if i != len(layers)-1 {
+				want.ReLU()
+			}
+		}
 		ctx := exec.New(2)
 		got := dense.New(a.Rows(), 3)
-		InferStackTo(ctx, got, layers, a, x)
+		inferStackTo(ctx, got, layers, a, x)
 		if !bitwiseEqual(want, got) {
-			t.Fatalf("backend %T: InferStackTo differs from InferStack", a)
+			t.Fatalf("backend %T: inferStackTo differs from layer-by-layer Forward", a)
 		}
 		if n := ctx.Arena().Outstanding(); n != 0 {
-			t.Fatalf("InferStackTo leaked %d arena buffers", n)
+			t.Fatalf("inferStackTo leaked %d arena buffers", n)
 		}
-	}
-}
-
-func TestGCNStackInferToBitwise(t *testing.T) {
-	csr, _ := testBackends(t, 48, 140)
-	rng := xrand.New(49)
-	x := randomFeatures(rng, csr.Rows(), 6)
-	s := NewGCNStack([]int{6, 10, 4}, 50)
-	want := s.Infer(csr, x, 1)
-	ctx := exec.New(1)
-	got := dense.New(csr.Rows(), s.OutDim())
-	s.InferTo(ctx, got, csr, x)
-	if !bitwiseEqual(want, got) {
-		t.Fatal("GCNStack.InferTo differs from Infer")
-	}
-	if s.InDim() != 6 || s.OutDim() != 4 {
-		t.Fatalf("dims %d→%d, want 6→4", s.InDim(), s.OutDim())
-	}
-}
-
-func TestInferStackToZeroLayersCopies(t *testing.T) {
-	csr, _ := testBackends(t, 51, 60)
-	rng := xrand.New(52)
-	x := randomFeatures(rng, csr.Rows(), 5)
-	ctx := exec.New(1)
-	out := dense.New(x.Rows, x.Cols)
-	InferStackTo(ctx, out, nil, csr, x)
-	if !bitwiseEqual(out, x) {
-		t.Fatal("zero-layer InferStackTo did not copy x")
 	}
 }
 
@@ -167,7 +148,7 @@ func TestInferStackToShapeMismatchPanics(t *testing.T) {
 			t.Fatal("wrong-shaped output accepted")
 		}
 	}()
-	InferStackTo(ctx, dense.New(csr.Rows(), 9), layers, csr, x)
+	inferStackTo(ctx, dense.New(csr.Rows(), 9), layers, csr, x)
 }
 
 // TestInferToSteadyStateZeroAlloc pins the refactor's core promise at
@@ -208,8 +189,8 @@ func TestForwardGemmActivationSpans(t *testing.T) {
 			{"GCN2.InferTo", func(ctx *exec.Ctx) {
 				model.InferTo(ctx, dense.New(a.Rows(), 3), a, x)
 			}, 2, 1},
-			{"InferStackTo", func(ctx *exec.Ctx) {
-				InferStackTo(ctx, dense.New(a.Rows(), 3), stack, a, x)
+			{"inferStackTo", func(ctx *exec.Ctx) {
+				inferStackTo(ctx, dense.New(a.Rows(), 3), stack, a, x)
 			}, 3, 2},
 			{"GCN2.InferBatchTo", func(ctx *exec.Ctx) {
 				outs := []*dense.Matrix{dense.New(a.Rows(), 3), dense.New(a.Rows(), 3)}

@@ -39,15 +39,8 @@ func (g *GCN2) Infer(a Adjacency, x *dense.Matrix, threads int) *dense.Matrix {
 //
 //cbm:hotpath
 func (g *GCN2) InferTo(ctx *exec.Ctx, out *dense.Matrix, a Adjacency, x *dense.Matrix) {
-	sp := ctx.Begin(obs.StageInfer)
-	h := ctx.Borrow(a.Rows(), g.L0.Lin.Out)
-	g.L0.ForwardTo(ctx, h, a, x)
-	asp := ctx.Begin(obs.StageActivation)
-	h.ReLU()
-	asp.End()
-	g.L1.ForwardTo(ctx, out, a, h)
-	ctx.Release(h)
-	sp.End()
+	layers := [2]*GCNConv{g.L0, g.L1}
+	inferStackTo(ctx, out, layers[:], a, x)
 }
 
 // InferBatchTo serves several requests in one forward pass with a
@@ -66,37 +59,18 @@ func (g *GCN2) InDim() int { return g.L0.Lin.In }
 // OutDim returns the output class width (Model interface).
 func (g *GCN2) OutDim() int { return g.L1.Lin.Out }
 
-// InferStack runs an arbitrary stack of GCN layers with ReLU between
-// them (none after the last) — used by the deeper-model ablation.
-// Zero layers returns x itself, unchanged.
-func InferStack(layers []*GCNConv, a Adjacency, x *dense.Matrix, threads int) *dense.Matrix {
-	if len(layers) == 0 {
-		sp := obs.Begin(obs.StageInfer)
-		sp.End()
-		return x
-	}
-	out := dense.New(a.Rows(), layers[len(layers)-1].Lin.Out)
-	InferStackTo(exec.New(threads), out, layers, a, x)
-	return out
-}
-
-// InferStackTo runs a stack of GCN layers into the caller-owned out
-// buffer (n×lastOut), ping-ponging intermediate activations through
-// arena buffers. Zero layers copies x into out (which must then match
-// x's shape). Operation order matches InferStack, so results are
-// bitwise equal.
+// inferStackTo runs a stack of GCN layers with ReLU between them (none
+// after the last) into the caller-owned out buffer (n×lastOut),
+// ping-ponging intermediate activations through arena buffers. It is
+// the solo forward behind GCN2.InferTo and the batch-of-one case of
+// inferStackBatchTo.
 //
 //cbm:hotpath
-func InferStackTo(ctx *exec.Ctx, out *dense.Matrix, layers []*GCNConv, a Adjacency, x *dense.Matrix) {
-	sp := ctx.Begin(obs.StageInfer)
-	if len(layers) == 0 {
-		out.CopyFrom(x)
-		sp.End()
-		return
-	}
+func inferStackTo(ctx *exec.Ctx, out *dense.Matrix, layers []*GCNConv, a Adjacency, x *dense.Matrix) {
 	if last := layers[len(layers)-1]; out.Rows != a.Rows() || out.Cols != last.Lin.Out {
-		panic(fmt.Sprintf("gnn: InferStackTo output is %d×%d, want %d×%d", out.Rows, out.Cols, a.Rows(), last.Lin.Out))
+		panic(fmt.Sprintf("gnn: InferTo output is %d×%d, want %d×%d", out.Rows, out.Cols, a.Rows(), last.Lin.Out))
 	}
+	sp := ctx.Begin(obs.StageInfer)
 	cur := x
 	var prev *dense.Matrix // the arena buffer cur points into, if any
 	for i, l := range layers {

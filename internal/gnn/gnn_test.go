@@ -70,22 +70,6 @@ func TestGCNInferenceThreadInvariance(t *testing.T) {
 	}
 }
 
-func TestInferStackDeeperModel(t *testing.T) {
-	csr, cbmB := testBackends(t, 7, 180)
-	rng := xrand.New(8)
-	layers := []*GCNConv{
-		NewGCNConv(12, 16, rng),
-		NewGCNConv(16, 16, rng),
-		NewGCNConv(16, 4, rng),
-	}
-	x := randomFeatures(rng, csr.Rows(), 12)
-	z1 := InferStack(layers, csr, x, 2)
-	z2 := InferStack(layers, cbmB, x, 2)
-	if d := dense.MaxRelDiff(z1, z2, 1); d > 1e-4 {
-		t.Fatalf("3-layer stack differs across backends: %v", d)
-	}
-}
-
 func TestGINAndSAGEBackendEquivalence(t *testing.T) {
 	csr, cbmB := testBackends(t, 9, 160)
 	rng := xrand.New(10)

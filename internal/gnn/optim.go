@@ -6,44 +6,6 @@ import (
 	"repro/internal/dense"
 )
 
-// Optimizer applies a gradient to a parameter matrix. Step is called
-// once per (parameter, epoch); implementations keep per-parameter
-// state keyed by the parameter pointer.
-type Optimizer interface {
-	Step(param, grad *dense.Matrix)
-}
-
-// SGD is plain gradient descent with an optional momentum term.
-type SGD struct {
-	LR       float32
-	Momentum float32
-	velocity map[*dense.Matrix][]float32
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: map[*dense.Matrix][]float32{}}
-}
-
-// Step applies one SGD update.
-func (o *SGD) Step(param, grad *dense.Matrix) {
-	if o.Momentum == 0 {
-		for i := range param.Data {
-			param.Data[i] -= o.LR * grad.Data[i]
-		}
-		return
-	}
-	v, ok := o.velocity[param]
-	if !ok {
-		v = make([]float32, len(param.Data))
-		o.velocity[param] = v
-	}
-	for i := range param.Data {
-		v[i] = o.Momentum*v[i] + grad.Data[i]
-		param.Data[i] -= o.LR * v[i]
-	}
-}
-
 // Adam is the Kingma–Ba optimizer — the one GCNs are conventionally
 // trained with (the original GCN paper uses Adam at lr 0.01).
 type Adam struct {
@@ -91,45 +53,4 @@ func (o *Adam) Step(param, grad *dense.Matrix) {
 		vhat := v[i] / b2c
 		param.Data[i] -= o.LR * mhat / (float32(math.Sqrt(float64(vhat))) + o.Eps)
 	}
-}
-
-// TrainWith runs full-batch training like Train but with a pluggable
-// optimizer; Train remains the plain-SGD convenience wrapper.
-func (g *GCN2) TrainWith(a Adjacency, x *dense.Matrix, labels []int, mask []bool, epochs, threads int, opt Optimizer) TrainResult {
-	n := a.Rows()
-	res := TrainResult{Losses: make([]float64, 0, epochs)}
-	for epoch := 0; epoch < epochs; epoch++ {
-		p0 := g.L0.Lin.Forward(x, threads)
-		s0 := dense.New(n, p0.Cols)
-		a.MulTo(s0, p0, threads)
-		h1 := s0.Clone().ReLU()
-		p1 := g.L1.Lin.Forward(h1, threads)
-		z := dense.New(n, p1.Cols)
-		a.MulTo(z, p1, threads)
-
-		dz := dense.New(n, z.Cols)
-		res.Losses = append(res.Losses, SoftmaxCrossEntropy(z, labels, mask, dz))
-
-		dp1 := dense.New(n, dz.Cols)
-		a.MulTo(dp1, dz, threads)
-		dw1 := dense.MulParallel(h1.Transpose(), dp1, threads)
-		dh1 := dense.MulParallel(dp1, g.L1.Lin.W.Transpose(), threads)
-		for i, v := range s0.Data {
-			if v <= 0 {
-				dh1.Data[i] = 0
-			}
-		}
-		dp0 := dense.New(n, dh1.Cols)
-		a.MulTo(dp0, dh1, threads)
-		dw0 := dense.MulParallel(x.Transpose(), dp0, threads)
-
-		if adam, ok := opt.(*Adam); ok {
-			adam.BeginStep()
-		}
-		opt.Step(g.L1.Lin.W, dw1)
-		opt.Step(g.L0.Lin.W, dw0)
-	}
-	z := g.Infer(a, x, threads)
-	res.Accuracy = Accuracy(z, labels, mask)
-	return res
 }

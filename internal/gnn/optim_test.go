@@ -4,16 +4,12 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cbm"
 	"repro/internal/dense"
-	"repro/internal/synth"
-	"repro/internal/xrand"
 )
 
-// minimizeQuadratic drives a 1×n parameter toward target with the
-// given optimizer on the loss ½‖p − target‖² and returns the final
-// distance.
-func minimizeQuadratic(opt Optimizer, steps int) float64 {
+// minimizeQuadratic drives a 1×n parameter toward target with Adam on
+// the loss ½‖p − target‖² and returns the final distance.
+func minimizeQuadratic(opt *Adam, steps int) float64 {
 	target := []float32{3, -2, 0.5, 7}
 	p := dense.New(1, len(target))
 	grad := dense.New(1, len(target))
@@ -21,9 +17,7 @@ func minimizeQuadratic(opt Optimizer, steps int) float64 {
 		for i := range target {
 			grad.Data[i] = p.Data[i] - target[i]
 		}
-		if adam, ok := opt.(*Adam); ok {
-			adam.BeginStep()
-		}
+		opt.BeginStep()
 		opt.Step(p, grad)
 	}
 	var dist float64
@@ -32,15 +26,6 @@ func minimizeQuadratic(opt Optimizer, steps int) float64 {
 		dist += d * d
 	}
 	return math.Sqrt(dist)
-}
-
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	if d := minimizeQuadratic(NewSGD(0.1, 0), 200); d > 1e-3 {
-		t.Fatalf("SGD distance %v", d)
-	}
-	if d := minimizeQuadratic(NewSGD(0.05, 0.9), 200); d > 1e-3 {
-		t.Fatalf("SGD+momentum distance %v", d)
-	}
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
@@ -67,163 +52,4 @@ func TestAdamStateIsPerParameter(t *testing.T) {
 	if before.Equal(p2) {
 		t.Fatal("no update applied")
 	}
-}
-
-func TestTrainWithAdamLearnsAndMatchesBackends(t *testing.T) {
-	n, group := 200, 20
-	a := synth.SBMGroups(n, group, 0.8, 0.2, 31)
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = (i / group) % 4
-	}
-	rng := xrand.New(32)
-	x := dense.New(n, 8)
-	for i := 0; i < n; i++ {
-		x.Set(i, labels[i], 1)
-		for j := 0; j < 8; j++ {
-			x.Set(i, j, x.At(i, j)+0.1*rng.Float32())
-		}
-	}
-	csr, err := NewCSRBackend(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := NewGCN2(8, 16, 4, 7)
-	res := model.TrainWith(csr, x, labels, nil, 40, 2, NewAdam(0.02))
-	if res.Losses[len(res.Losses)-1] >= res.Losses[0] {
-		t.Fatalf("Adam loss did not decrease: %v → %v", res.Losses[0], res.Losses[len(res.Losses)-1])
-	}
-	if res.Accuracy < 0.9 {
-		t.Fatalf("Adam accuracy %v", res.Accuracy)
-	}
-
-	cbmB, _, err := NewCBMBackend(a, cbm.Options{Alpha: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model2 := NewGCN2(8, 16, 4, 7)
-	res2 := model2.TrainWith(cbmB, x, labels, nil, 40, 2, NewAdam(0.02))
-	if math.Abs(res.Accuracy-res2.Accuracy) > 0.05 {
-		t.Fatalf("backend accuracy gap under Adam: %v vs %v", res.Accuracy, res2.Accuracy)
-	}
-}
-
-func TestTrainWithSGDMatchesTrain(t *testing.T) {
-	// TrainWith(NewSGD(lr, 0)) must reproduce Train(lr) exactly.
-	n := 120
-	a := synth.SBMGroups(n, 12, 0.7, 0.3, 33)
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = i % 3
-	}
-	rng := xrand.New(34)
-	x := dense.New(n, 6)
-	rng.FillUniform(x.Data)
-	csr, err := NewCSRBackend(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1 := NewGCN2(6, 8, 3, 5)
-	m2 := NewGCN2(6, 8, 3, 5)
-	r1 := m1.Train(csr, x, labels, nil, TrainConfig{LR: 0.3, Epochs: 10, Threads: 1})
-	r2 := m2.TrainWith(csr, x, labels, nil, 10, 1, NewSGD(0.3, 0))
-	for e := range r1.Losses {
-		if r1.Losses[e] != r2.Losses[e] {
-			t.Fatalf("epoch %d: Train %v vs TrainWith/SGD %v", e, r1.Losses[e], r2.Losses[e])
-		}
-	}
-}
-
-func TestDropoutTrainingMode(t *testing.T) {
-	d := NewDropout(0.5, 1)
-	x := dense.New(10, 100)
-	for i := range x.Data {
-		x.Data[i] = 1
-	}
-	mask := d.Forward(x)
-	if mask == nil {
-		t.Fatal("training mode returned nil mask")
-	}
-	zeros, scaled := 0, 0
-	for i, v := range x.Data {
-		switch v {
-		case 0:
-			zeros++
-			if mask[i] {
-				t.Fatal("mask says kept but value is zero")
-			}
-		case 2: // 1/(1-0.5)
-			scaled++
-			if !mask[i] {
-				t.Fatal("mask says dropped but value survived")
-			}
-		default:
-			t.Fatalf("unexpected value %v", v)
-		}
-	}
-	frac := float64(zeros) / float64(len(x.Data))
-	if frac < 0.4 || frac > 0.6 {
-		t.Fatalf("dropped fraction %v, want ≈ 0.5", frac)
-	}
-	// expectation preserved: mean ≈ 1
-	var sum float64
-	for _, v := range x.Data {
-		sum += float64(v)
-	}
-	if mean := sum / float64(len(x.Data)); math.Abs(mean-1) > 0.1 {
-		t.Fatalf("mean after dropout = %v, want ≈ 1", mean)
-	}
-}
-
-func TestDropoutEvalModeIsIdentity(t *testing.T) {
-	d := NewDropout(0.5, 1)
-	d.Training = false
-	x := dense.New(3, 3)
-	for i := range x.Data {
-		x.Data[i] = float32(i)
-	}
-	before := x.Clone()
-	if mask := d.Forward(x); mask != nil {
-		t.Fatal("eval mode returned a mask")
-	}
-	if !x.Equal(before) {
-		t.Fatal("eval mode modified input")
-	}
-}
-
-func TestDropoutBackwardGates(t *testing.T) {
-	d := NewDropout(0.25, 2)
-	x := dense.New(4, 8)
-	for i := range x.Data {
-		x.Data[i] = 1
-	}
-	mask := d.Forward(x)
-	grad := dense.New(4, 8)
-	for i := range grad.Data {
-		grad.Data[i] = 3
-	}
-	d.Backward(grad, mask)
-	for i := range grad.Data {
-		if mask[i] && grad.Data[i] != 4 { // 3 / (1-0.25)
-			t.Fatalf("kept grad = %v, want 4", grad.Data[i])
-		}
-		if !mask[i] && grad.Data[i] != 0 {
-			t.Fatalf("dropped grad = %v, want 0", grad.Data[i])
-		}
-	}
-	// nil mask is a no-op
-	g2 := grad.Clone()
-	d.Backward(grad, nil)
-	if !grad.Equal(g2) {
-		t.Fatal("nil mask modified gradient")
-	}
-}
-
-func TestDropoutRejectsBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDropout(1.0, 1)
 }

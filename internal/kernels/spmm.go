@@ -50,7 +50,7 @@ func SpMMTo(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, threads int) {
 }
 
 // SpMMToSink is SpMMTo with an explicit observability sink, so callers
-// measuring through an obs.Recorder (AutoTune, the bench report)
+// measuring through an obs.Recorder (the bench report, perfbench)
 // get the SpMM stage attributed to exactly their own calls.
 //
 //cbm:hotpath

@@ -26,7 +26,7 @@ import (
 // variables (Borrow never returns nil, so `if m != nil` is decided in
 // a world where m holds a lease) and on repeated pure conditions (the
 // `if i != last { dst = ctx.Borrow(...) } ... if i != last { keep }`
-// correlation of the layer ping-pong in gnn.InferStackTo). Aliasing is
+// correlation of the layer ping-pong in gnn.inferStackTo). Aliasing is
 // tracked through plain assignments, so the loop-carried wide buffer
 // of the batched forward pass (`wideH = wideS`) keeps its obligation
 // across iterations.

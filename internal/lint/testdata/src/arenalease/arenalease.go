@@ -143,7 +143,7 @@ func escapeToClosure(ctx *Ctx, run func(func())) {
 	run(func() { use(m) })
 }
 
-// Negative: the loop-carried ping-pong of InferStackTo — borrow this
+// Negative: the loop-carried ping-pong of inferStackTo — borrow this
 // iteration, release it the next, guarded by a nil check.
 func loopCarried(ctx *Ctx, layers int) {
 	var prev *Matrix

@@ -2,9 +2,10 @@
 // monotone event counters and nanosecond stage timers for the CBM
 // multiplication pipeline. The paper (Sec. V-A) splits C = M·B into a
 // delta-SpMM stage and a tree-update stage; per-kernel profiling of
-// exactly that split is what lets AutoTune and the benchmarks attribute
-// a multiply's time on evidence instead of folklore (cf. Qiu et al., "Optimizing
-// Sparse Matrix Multiplications for Graph Neural Networks").
+// exactly that split is what lets the bench report (cbmbench -exp
+// bench) and perfbench attribute a multiply's time on evidence instead
+// of folklore (cf. Qiu et al., "Optimizing Sparse Matrix
+// Multiplications for Graph Neural Networks").
 //
 // Design constraints, in priority order:
 //
@@ -130,9 +131,7 @@ const (
 	// not serve (global-pool recycles plus fresh allocations); in a
 	// warmed-up serving loop this counter stays flat.
 	CounterArenaGrows
-	// CounterBatchFlushes counts executed micro-batch flushes (empty
-	// flushes — every request shed — still count; they occupied a
-	// flush slot decision).
+	// CounterBatchFlushes counts executed micro-batch flushes.
 	CounterBatchFlushes
 	// CounterBatchRequests counts requests served through batches, so
 	// batch_requests/batch_flushes is the mean batch size.
@@ -146,12 +145,6 @@ const (
 	// CounterBatchFlushBudget counts flushes triggered by the column
 	// budget filling before the window elapsed.
 	CounterBatchFlushBudget
-	// CounterBatchShedDeadline counts requests shed at flush because
-	// their deadline had already expired.
-	CounterBatchShedDeadline
-	// CounterBatchShedQueue counts TryInferTo-style rejections because
-	// the batch submit queue was saturated.
-	CounterBatchShedQueue
 
 	numCounters
 )
@@ -166,13 +159,11 @@ var counterNames = [numCounters]string{
 	CounterArenaBorrows:  "arena_borrows",
 	CounterArenaGrows:    "arena_grows",
 
-	CounterBatchFlushes:      "batch_flushes",
-	CounterBatchRequests:     "batch_requests",
-	CounterBatchCols:         "batch_cols",
-	CounterBatchFlushWindow:  "batch_flush_window",
-	CounterBatchFlushBudget:  "batch_flush_budget",
-	CounterBatchShedDeadline: "batch_shed_deadline",
-	CounterBatchShedQueue:    "batch_shed_queue",
+	CounterBatchFlushes:     "batch_flushes",
+	CounterBatchRequests:    "batch_requests",
+	CounterBatchCols:        "batch_cols",
+	CounterBatchFlushWindow: "batch_flush_window",
+	CounterBatchFlushBudget: "batch_flush_budget",
 }
 
 func (c Counter) String() string {

@@ -1,7 +1,7 @@
 // Sinks route probe events either to the package-global accumulators
 // or to a caller-owned Recorder. The interface used to live in
-// internal/exec; it moved here so measurement code (cbm.AutoTune, the
-// bench report) can scope per-stage attribution to its own calls
+// internal/exec; it moved here so measurement code (the bench report,
+// perfbench) can scope per-stage attribution to its own calls
 // without importing the execution-context layer. Global totals stay
 // complete either way: a Recorder-tagged span folds its duration into
 // both the process-wide state and the recorder, so scoping never makes
@@ -57,9 +57,10 @@ var Nop Sink = NopSink{}
 // of the global ones: a span begun on a Recorder folds its duration
 // into both, so a measurement loop can attribute stage time to exactly
 // its own calls while concurrent work on other goroutines keeps
-// reporting globally. This is what makes AutoTune's per-stage split
-// immune to double-counting under concurrency — global StageTotals
-// deltas see every goroutine's spans; a Recorder sees only its own.
+// reporting globally. This is what makes a measurement's per-stage
+// split immune to double-counting under concurrency — global
+// StageTotals deltas see every goroutine's spans; a Recorder sees only
+// its own.
 //
 // A Recorder is safe for concurrent use (all state is atomic).
 type Recorder struct {

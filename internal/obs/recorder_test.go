@@ -7,8 +7,8 @@ import (
 )
 
 // A recorder must see exactly the spans begun on it, while the global
-// totals keep seeing everything — the scoping contract AutoTune's
-// per-stage split relies on.
+// totals keep seeing everything — the scoping contract the bench
+// report's per-stage split relies on.
 func TestRecorderScopesSpans(t *testing.T) {
 	Reset()
 	rec := NewRecorder()

@@ -368,6 +368,9 @@ func (m *CSR) Validate() error {
 		if hi < lo {
 			return fmt.Errorf("sparse: RowPtr not monotone at row %d", i)
 		}
+		if int(hi) > len(m.ColIdx) {
+			return fmt.Errorf("sparse: RowPtr[%d] = %d past storage length %d", i+1, hi, len(m.ColIdx))
+		}
 		for k := lo; k < hi; k++ {
 			c := m.ColIdx[k]
 			if c < 0 || int(c) >= m.Cols {

@@ -8,6 +8,20 @@ import (
 	"repro/internal/xrand"
 )
 
+// randomValuedCSR builds a random matrix with roughly density d and
+// values in [-1, 1).
+func randomValuedCSR(rng *xrand.RNG, rows, cols int, density float64) *CSR {
+	coo := NewCOO(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if rng.Float64() < density {
+				coo.Append(i, j, rng.Float32()*2-1)
+			}
+		}
+	}
+	return coo.ToCSR()
+}
+
 // randomBinaryCSR builds a random binary matrix with roughly density d.
 func randomBinaryCSR(rng *xrand.RNG, rows, cols int, density float64) *CSR {
 	coo := NewCOO(rows, cols)
@@ -209,6 +223,13 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	bad3.RowPtr[1] = 99
 	if bad3.Validate() == nil {
 		t.Fatal("inconsistent RowPtr not detected")
+	}
+	// A row pointer past the storage, over strictly ascending columns:
+	// the row scan must stop at the pointer, not index past ColIdx.
+	bad4 := FromAdjacency(2, 3, [][]int32{{0}, {1, 2}})
+	bad4.RowPtr[1] = 5
+	if bad4.Validate() == nil {
+		t.Fatal("RowPtr past the storage not detected")
 	}
 }
 
