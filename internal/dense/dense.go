@@ -6,12 +6,16 @@
 //
 // The GEMM row kernel is chosen once at init from the CPU. On amd64
 // with AVX it is a register-blocked micro-kernel in assembly: it keeps
-// each 8-column strip of an output row in one YMM register while it
-// multiplies and adds, as separate instructions (no FMA), in k order,
-// and masks the product of a zero a[i,k] to +0, which leaves the sum's
-// bits as skipping it would. Each lane therefore rounds exactly like
-// the portable kernel's crow[j] += a[i,k]*b[k,j], so the two are
-// bitwise equal. Everywhere else the portable i-k-j axpy loop runs.
+// the 8-column strips of two output rows in YMM registers while it
+// multiplies and adds, as separate instructions (no FMA), in k order.
+// It has no zero mask: MulTo runs it only when every entry of b is
+// finite, and then adding the ±0 product of a zero a[i,k] leaves the
+// sum's bits as skipping it would. Each lane therefore rounds exactly
+// like the portable kernel's crow[j] += a[i,k]*b[k,j], so the two are
+// bitwise equal. Everywhere else, and for a b with an Inf or NaN, the
+// portable i-k-j axpy loop runs. MulReLUTo folds ReLU into the load of
+// a (one VMAXPS against +0 per broadcast), so a GCN's hidden
+// activation costs no pass of its own.
 package dense
 
 import (
@@ -165,33 +169,74 @@ func MulParallel(a, b *Matrix, threads int) *Matrix {
 //
 //cbm:hotpath
 func MulTo(c, a, b *Matrix, threads int) {
+	mulTo(c, a, b, threads, false)
+}
+
+// MulReLUTo computes c = max(a, 0)·b into a pre-allocated c
+// (overwritten), bitwise equal to a.Clone().ReLU() followed by MulTo,
+// without the clone or the pass: the activation is applied to each
+// a[i,k] as the kernel loads it, and a itself is left unchanged.
+//
+//cbm:hotpath
+func MulReLUTo(c, a, b *Matrix, threads int) {
+	mulTo(c, a, b, threads, true)
+}
+
+// mulTo is MulTo (relu unset) and MulReLUTo (relu set). It decides
+// once per call, before the row split, whether the AVX kernel may run:
+// its missing zero mask needs every entry of b to be finite.
+//
+//cbm:hotpath
+func mulTo(c, a, b *Matrix, threads int, relu bool) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("dense: MulTo shape mismatch: c %dx%d, a %dx%d, b %dx%d", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
+	avx := useAVX && allFinite(b.Data)
 	if parallel.Sequential(threads, a.Rows) {
-		mulRowsKernel(c, a, b, 0, a.Rows)
+		mulRowsKernel(c, a, b, 0, a.Rows, relu, avx)
 		return
 	}
 	parallel.ForRange(a.Rows, threads, func(lo, hi int) {
-		mulRowsKernel(c, a, b, lo, hi)
+		mulRowsKernel(c, a, b, lo, hi, relu, avx)
 	})
 }
 
-// mulRows computes output rows [lo, hi) of c = a·b, overwriting them.
-// It is the portable kernel and the reference the SIMD kernel must
-// match bit for bit.
+// allFinite reports whether x holds no Inf and no NaN.
 //
 //cbm:hotpath
-func mulRows(c, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		clear(crow)
-		for k, av := range arow {
-			if av != 0 {
-				blas.Axpy(av, b.Row(k), crow)
-			}
+func allFinite(x []float32) bool {
+	for _, v := range x {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+			return false
 		}
+	}
+	return true
+}
+
+// mulRows computes output rows [lo, hi) of c = a·b (of c = max(a, 0)·b
+// when relu is set), overwriting them. It is the portable kernel and
+// the reference the SIMD kernel must match bit for bit.
+//
+//cbm:hotpath
+func mulRows(c, a, b *Matrix, lo, hi int, relu bool) {
+	for i := lo; i < hi; i++ {
+		mulRow(c.Row(i), a.Row(i), b, 0, relu)
+	}
+}
+
+// mulRow overwrites crow with arow·b[:, from:], one axpy per term in k
+// order. It skips the terms whose a[k] is ±0 and, when relu is set,
+// the negative ones too, which ReLU would have made +0; a NaN a[k] is
+// never skipped, as ReLU keeps it.
+//
+//cbm:hotpath
+func mulRow(crow, arow []float32, b *Matrix, from int, relu bool) {
+	clear(crow)
+	for k, av := range arow {
+		if av == 0 || relu && av < 0 {
+			continue
+		}
+		blas.Axpy(av, b.Row(k)[from:], crow)
 	}
 }
 
@@ -205,12 +250,20 @@ func (m *Matrix) AddBiasRow(bias []float32) {
 	}
 }
 
-// ReLU applies max(0, x) element-wise in place and returns m.
+// ReLU applies max(0, x) element-wise in place and returns m. It is
+// branch-free: x < 0 holds exactly when x's bits, read as an unsigned
+// integer, lie in (0x80000000, 0xff800000] (the negative numbers down
+// to -Inf; -0 and the negative NaNs lie outside), and an integer
+// borrow turns that range test into a mask that clears those bits to
+// +0's. So -0, +Inf and every NaN, whatever its sign, are kept: the
+// same bits as the `if v < 0 { v = 0 }` loop, without its mispredicted
+// branches on mixed signs.
 func (m *Matrix) ReLU() *Matrix {
-	for i, v := range m.Data {
-		if v < 0 {
-			m.Data[i] = 0
-		}
+	d := m.Data
+	for i, v := range d {
+		b := math.Float32bits(v)
+		neg := uint32(int64(uint64(b-0x80000001)-0x7f800000) >> 63)
+		d[i] = math.Float32frombits(b &^ neg)
 	}
 	return m
 }

@@ -85,16 +85,18 @@ func inferStackBatchTo(ctx *exec.Ctx, outs []*dense.Matrix, layers []*GCNConv, a
 	}
 	sp := ctx.Begin(obs.StageInfer)
 	n := a.Rows()
-	// wideH holds the column-concatenated activations entering the
+	// wideH holds the column-concatenated pre-activations entering the
 	// current layer, [h_1 | h_2 | … | h_k]; nil on the first layer,
-	// whose transforms read the callers' xs directly (no copy-in).
+	// whose transforms read the callers' xs directly (no copy-in). The
+	// ReLU is applied per request as its transform loads its slice
+	// (Linear.forwardTo), the same bits as ReLU'ing the wide buffer.
 	// The wide scratch is BorrowUninit: every buffer below is fully
 	// overwritten before it is read (MulTo/SpMM overwrite their
 	// outputs, and the k gather stripes cover every column), and at k×
 	// a request's footprint the skipped memsets are a real fraction of
 	// the batch.
 	var wideH *dense.Matrix
-	for l, layer := range layers {
+	for _, layer := range layers {
 		lsp := ctx.Begin(obs.StageLayer)
 		ctx.Inc(obs.CounterLayerForwards)
 		in, out := layer.Lin.In, layer.Lin.Out
@@ -110,7 +112,7 @@ func inferStackBatchTo(ctx *exec.Ctx, outs []*dense.Matrix, layers []*GCNConv, a
 				scatterCols(tin, wideH, i*in)
 				src = tin
 			}
-			layer.Lin.ForwardTo(ctx, tout, src)
+			layer.Lin.forwardTo(ctx, tout, src, wideH != nil)
 			gatherCols(wideXW, i*out, tout)
 		}
 		ctx.Release(tout)
@@ -121,13 +123,6 @@ func inferStackBatchTo(ctx *exec.Ctx, outs []*dense.Matrix, layers []*GCNConv, a
 		wideS := ctx.BorrowUninit(n, k*out)
 		a.MulToCtx(ctx, wideS, wideXW)
 		ctx.Release(wideXW)
-		if l != len(layers)-1 {
-			// Element-wise, so applying it to the wide buffer is the
-			// same bits as applying it per slice.
-			asp := ctx.Begin(obs.StageActivation)
-			wideS.ReLU()
-			asp.End()
-		}
 		wideH = wideS
 		lsp.End()
 	}

@@ -61,8 +61,11 @@ func (g *GCN2) OutDim() int { return g.L1.Lin.Out }
 
 // inferStackTo runs a stack of GCN layers with ReLU between them (none
 // after the last) into the caller-owned out buffer (n×lastOut),
-// ping-ponging intermediate activations through arena buffers. It is
-// the solo forward behind GCN2.InferTo and the batch-of-one case of
+// ping-ponging intermediate activations through arena buffers. The
+// buffers hold pre-activations: each layer after the first applies
+// the ReLU as its GEMM loads them (dense.MulReLUTo), which nothing
+// else reads, so there is no separate activation pass. It is the solo
+// forward behind GCN2.InferTo and the batch-of-one case of
 // inferStackBatchTo.
 //
 //cbm:hotpath
@@ -78,15 +81,12 @@ func inferStackTo(ctx *exec.Ctx, out *dense.Matrix, layers []*GCNConv, a Adjacen
 		if i != len(layers)-1 {
 			dst = ctx.Borrow(a.Rows(), l.Lin.Out)
 		}
-		l.ForwardTo(ctx, dst, a, cur)
+		l.forwardTo(ctx, dst, a, cur, i > 0)
 		if prev != nil {
 			ctx.Release(prev)
 			prev = nil
 		}
 		if i != len(layers)-1 {
-			asp := ctx.Begin(obs.StageActivation)
-			dst.ReLU()
-			asp.End()
 			prev = dst
 		}
 		cur = dst

@@ -43,8 +43,22 @@ func (l *Linear) Forward(x *dense.Matrix, threads int) *dense.Matrix {
 //
 //cbm:hotpath
 func (l *Linear) ForwardTo(ctx *exec.Ctx, out, x *dense.Matrix) {
+	l.forwardTo(ctx, out, x, false)
+}
+
+// forwardTo is ForwardTo on input ReLU(x) when reluIn is set: the
+// activation is folded into the GEMM's load of x (dense.MulReLUTo), so
+// x is left unchanged and the result is bitwise equal to ReLU'ing a
+// copy of x first.
+//
+//cbm:hotpath
+func (l *Linear) forwardTo(ctx *exec.Ctx, out, x *dense.Matrix, reluIn bool) {
 	sp := ctx.Begin(obs.StageGemm)
-	dense.MulTo(out, x, l.W, ctx.Threads())
+	if reluIn {
+		dense.MulReLUTo(out, x, l.W, ctx.Threads())
+	} else {
+		dense.MulTo(out, x, l.W, ctx.Threads())
+	}
 	sp.End()
 	if l.Bias != nil {
 		out.AddBiasRow(l.Bias)
@@ -78,10 +92,18 @@ func (c *GCNConv) Forward(a Adjacency, x *dense.Matrix, threads int) *dense.Matr
 //
 //cbm:hotpath
 func (c *GCNConv) ForwardTo(ctx *exec.Ctx, out *dense.Matrix, a Adjacency, x *dense.Matrix) {
+	c.forwardTo(ctx, out, a, x, false)
+}
+
+// forwardTo is ForwardTo on input ReLU(x) when reluIn is set, with
+// the activation folded into the dense product (Linear.forwardTo).
+//
+//cbm:hotpath
+func (c *GCNConv) forwardTo(ctx *exec.Ctx, out *dense.Matrix, a Adjacency, x *dense.Matrix, reluIn bool) {
 	sp := ctx.Begin(obs.StageLayer)
 	ctx.Inc(obs.CounterLayerForwards)
 	xw := ctx.Borrow(x.Rows, c.Lin.Out)
-	c.Lin.ForwardTo(ctx, xw, x)
+	c.Lin.forwardTo(ctx, xw, x, reluIn)
 	a.MulToCtx(ctx, out, xw)
 	ctx.Release(xw)
 	sp.End()

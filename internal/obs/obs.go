@@ -68,11 +68,11 @@ const (
 	// by the configured flush window.
 	StageBatchWait
 	// StageGemm is one dense X·W product of a gnn.Linear layer
-	// (dense.MulTo), the combination step of a GNN layer.
+	// (dense.MulTo), the combination step of a GNN layer. In a GCN
+	// forward pass the ReLU between layers has no stage of its own:
+	// the next layer's product applies it as it loads X
+	// (dense.MulReLUTo), so its cost is inside this stage.
 	StageGemm
-	// StageActivation is one ReLU between the layers of a GCN forward
-	// pass.
-	StageActivation
 
 	numStages
 )
@@ -89,7 +89,6 @@ var stageNames = [numStages]string{
 	StageBatch:      "batch",
 	StageBatchWait:  "batch_wait",
 	StageGemm:       "gemm",
-	StageActivation: "activation",
 }
 
 func (s Stage) String() string {
