@@ -10,7 +10,7 @@
 //	Table III → BenchmarkTable3ADX / BenchmarkTable3DADX
 //	Table IV  → BenchmarkTable4GCN
 //	Table V   → BenchmarkTable5Clustering
-//	Ablations → BenchmarkUpdateStrategies, BenchmarkCompressPhases
+//	Ablations → BenchmarkCompressPhases
 package repro
 
 import (
@@ -232,23 +232,6 @@ func BenchmarkTable5Clustering(b *testing.B) {
 		b.Run(d.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = graph.AverageClusteringCoefficient(d.a, 0)
-			}
-		})
-	}
-}
-
-// BenchmarkUpdateStrategies is the DESIGN.md ablation: the two-stage
-// CBM plan vs the CSR plan that skips the compression tree.
-func BenchmarkUpdateStrategies(b *testing.B) {
-	for _, d := range benchData(b) {
-		b.Run(d.name+"/branch", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d.cbm0.MulToStrategy(d.out, d.x, 0, cbm.StrategyBranch)
-			}
-		})
-		b.Run(d.name+"/csr", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d.cbm0.MulToStrategy(d.out, d.x, 0, cbm.StrategyCSR)
 			}
 		})
 	}

@@ -63,7 +63,7 @@ go test -race -count=1 -run 'TestEngine' ./internal/gnn/
 echo "==> micro-batching smoke (-race, deterministic clock + batched bitwise equivalence)"
 go test -race -count=1 -run 'TestBatcher|TestGatherScatter|TestEngineBatched' ./internal/gnn/
 
-echo "==> zero-alloc smoke (GEMM, CSR and two-stage kernels + arena + forward path + engine steady state; SIMD kernels bitwise vs portable)"
+echo "==> zero-alloc smoke (GEMM, CSR SpMM and two-stage kernels + arena + forward path + engine steady state; SIMD kernels bitwise vs portable)"
 go test -count=1 -run 'ZeroAlloc|TestArenaSteadyState|Bitwise' \
     ./internal/dense/ ./internal/blas/ ./internal/kernels/ ./internal/cbm/ ./internal/exec/ ./internal/gnn/
 
@@ -73,8 +73,11 @@ GOAMD64=v3 go test -count=1 -run 'Bitwise' ./internal/dense/ ./internal/blas/ ./
 echo "==> cmd/verify smoke sweep"
 go run ./cmd/verify -n 64 -sweep quick
 
-echo "==> two-stage thread invariance + CSR tolerance smoke"
+echo "==> MulTo thread invariance + concurrency stress smoke"
 go run ./cmd/verify -n 96 -gens hub,sbm -alphas 0,4 -threads 1,4,8 -stress 1
+
+echo "==> FuzzDecode smoke (container reader: reject or multiply deterministically, never panic)"
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/cbm/
 
 echo "==> cmd/gcnserve smoke (concurrent engine under load)"
 go run ./cmd/gcnserve -dataset cora -cols 16 -classes 4 -concurrency 4 -requests 5 >/dev/null

@@ -63,7 +63,6 @@ func main() {
 	model := gnn.NewGCN2(*cols, *cols, *cols, *seed+7)
 
 	th := *threads
-	outf("CBM plan: %s\n", cbmBackend.M.PlanFor(th, *cols))
 	tCSR := bench.Measure(*reps, 1, func() { model.Infer(csrBackend, x, th) })
 	tCBM := bench.Measure(*reps, 1, func() { model.Infer(cbmBackend, x, th) })
 	outf("inference CSR: %s s\n", tCSR)

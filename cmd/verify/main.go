@@ -4,10 +4,8 @@
 // compares the CBM kernels against two independent reference oracles
 // (naive dense and naive CSR, both with float64 accumulation), runs the
 // metamorphic property checks (linearity, tree reconstruction, MulVec
-// consistency, execution-plan equivalence — two-stage thread
-// invariance bitwise, CSR plan within tolerance — and α invariance)
-// and a short
-// concurrency stress round.
+// consistency, thread invariance of MulTo, bitwise, and α invariance)
+// and a short concurrency stress round.
 //
 // The process exits 0 only when every combination agrees within
 // tolerance. On the first divergence it prints a report plus the exact

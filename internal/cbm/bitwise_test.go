@@ -113,7 +113,7 @@ func TestTwoStageBitwisePortable(t *testing.T) {
 					for i := range c.Data {
 						c.Data[i] = float32(math.NaN())
 					}
-					m.MulToStrategy(c, b, threads, StrategyBranch)
+					m.MulTo(c, b, threads)
 					for i, v := range c.Data {
 						if !sameBits(v, want.Data[i]) {
 							t.Fatalf("%v n=%d nonfinite=%v threads=%d: element %d = %v (bits %#x), portable %v (bits %#x)",
@@ -161,7 +161,7 @@ func TestTwoStageBlockScheduleBitwise(t *testing.T) {
 			want := portableTwoStage(m, b)
 			for _, threads := range []int{1, 2, 4} {
 				c := dense.New(n, width)
-				m.MulToStrategy(c, b, threads, StrategyBranch)
+				m.MulTo(c, b, threads)
 				for i, v := range c.Data {
 					if !sameBits(v, want.Data[i]) {
 						t.Fatalf("%v n=%d threads=%d: element %d = %v, scalar %v", m.kind, width, threads, i, v, want.Data[i])
@@ -186,7 +186,7 @@ func TestTwoStageZeroAlloc(t *testing.T) {
 		b := randomDense(rng, a.Rows, n)
 		c := dense.New(a.Rows, n)
 		for _, m := range []*Matrix{base, base.WithColumnScale(d), base.WithSymmetricScale(d)} {
-			if allocs := testing.AllocsPerRun(20, func() { m.MulToStrategy(c, b, 1, StrategyBranch) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(20, func() { m.MulTo(c, b, 1) }); allocs != 0 {
 				t.Fatalf("%v n=%d: two-stage MulTo allocates %v times per call, want 0", m.Kind(), n, allocs)
 			}
 		}
@@ -195,8 +195,7 @@ func TestTwoStageZeroAlloc(t *testing.T) {
 
 // TestMulStageLedger pins the stage spans one multiply records through
 // its context's sink, which the per-layer split of a request is built
-// from: the two-stage plan records StageSpMM and StageUpdate once each,
-// the CSR plan StageSpMM only, at 1 and 2 threads.
+// from: StageSpMM and StageUpdate once each, at 1 and 2 threads.
 func TestMulStageLedger(t *testing.T) {
 	if !obs.Enabled() {
 		obs.Enable()
@@ -212,18 +211,13 @@ func TestMulStageLedger(t *testing.T) {
 	c := dense.New(a.Rows, 32)
 	for _, m := range []*Matrix{base, base.WithSymmetricScale(randomDiag(rng, a.Rows))} {
 		for _, threads := range []int{1, 2} {
-			for _, plan := range []struct {
-				strat   UpdateStrategy
-				updates int64
-			}{{StrategyBranch, 1}, {StrategyCSR, 0}} {
-				rec := obs.NewRecorder()
-				m.MulToStrategyCtx(exec.NewWithSink(threads, rec), c, b, plan.strat)
-				spmm, _ := rec.StageTotals(obs.StageSpMM)
-				update, _ := rec.StageTotals(obs.StageUpdate)
-				if spmm != 1 || update != plan.updates {
-					t.Fatalf("%v %v threads=%d: %d spmm and %d update spans, want 1 and %d",
-						m.Kind(), plan.strat, threads, spmm, update, plan.updates)
-				}
+			rec := obs.NewRecorder()
+			m.MulToCtx(exec.NewWithSink(threads, rec), c, b)
+			spmm, _ := rec.StageTotals(obs.StageSpMM)
+			update, _ := rec.StageTotals(obs.StageUpdate)
+			if spmm != 1 || update != 1 {
+				t.Fatalf("%v threads=%d: %d spmm and %d update spans, want 1 and 1",
+					m.Kind(), threads, spmm, update)
 			}
 		}
 	}

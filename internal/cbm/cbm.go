@@ -101,16 +101,6 @@ type Matrix struct {
 	// branch bi is order[branchOff[bi]:branchOff[bi+1]] (branchDecompose).
 	order     []int32
 	branchOff []int32
-
-	// CSR-plan source: the original binary matrix and the diagonal
-	// scales of the represented factorization, kept so MulTo can bypass
-	// the compression tree entirely (StrategyCSR) when the plan rule says
-	// the tree is pure overhead. nil after Decode — the encoded artifact
-	// does not include the original — in which case the CSR plan is
-	// unavailable (see HasCSRPlan) and MulTo runs two-stage.
-	src      *sparse.CSR
-	srcLeft  []float32 // diag(left) of the represented matrix; nil = identity
-	srcRight []float32 // diag(right); nil = identity
 }
 
 // Builder caches the α-independent candidate graph so a single AAᵀ
@@ -181,7 +171,7 @@ func (b *Builder) Compress(alpha int, forceMCA bool) (*Matrix, BuildStats, error
 	delta := buildDeltaMatrix(b.a, parent, b.threads)
 	stats.DeltaTime = buildClock.Now().Sub(deltaStart)
 
-	m := &Matrix{n: n, kind: KindA, delta: delta, parent: parent, src: b.a}
+	m := &Matrix{n: n, kind: KindA, delta: delta, parent: parent}
 	m.order, m.branchOff = branchDecompose(parent)
 	return m, stats, nil
 }
@@ -341,10 +331,6 @@ func (m *Matrix) Shape() costmodel.MatrixShape {
 	}
 }
 
-// HasCSRPlan reports whether the matrix still carries its source CSR,
-// making StrategyCSR available. Decoded artifacts do not.
-func (m *Matrix) HasCSRPlan() bool { return m.src != nil }
-
 // Diag returns the DAD diagonal (nil for A and AD kinds).
 func (m *Matrix) Diag() []float32 { return m.diag }
 
@@ -378,19 +364,14 @@ func (m *Matrix) WithColumnScale(d []float32) *Matrix {
 	if len(d) != m.n {
 		panic(fmt.Sprintf("cbm: diagonal length mismatch: len(d)=%d, want %d", len(d), m.n))
 	}
-	dc := make([]float32, len(d))
-	copy(dc, d)
-	out := &Matrix{
+	return &Matrix{
 		n:         m.n,
 		kind:      KindAD,
 		delta:     m.delta.ScaleCols(d),
 		parent:    m.parent,
 		order:     m.order,
 		branchOff: m.branchOff,
-		src:       m.src,
-		srcRight:  dc,
 	}
-	return out
 }
 
 // WithSymmetricScale returns a CBM representation of diag(d)·A·diag(d):
@@ -405,7 +386,7 @@ func (m *Matrix) WithSymmetricScale(d []float32) *Matrix {
 	}
 	dc := make([]float32, len(d))
 	copy(dc, d)
-	out := &Matrix{
+	return &Matrix{
 		n:         m.n,
 		kind:      KindDAD,
 		delta:     m.delta.ScaleCols(d),
@@ -413,11 +394,7 @@ func (m *Matrix) WithSymmetricScale(d []float32) *Matrix {
 		order:     m.order,
 		branchOff: m.branchOff,
 		diag:      dc,
-		src:       m.src,
-		srcLeft:   dc,
-		srcRight:  dc,
 	}
-	return out
 }
 
 // WithScales returns a CBM representation of diag(left)·A·diag(right)
@@ -435,9 +412,7 @@ func (m *Matrix) WithScales(left, right []float32) *Matrix {
 	}
 	lc := make([]float32, len(left))
 	copy(lc, left)
-	rc := make([]float32, len(right))
-	copy(rc, right)
-	out := &Matrix{
+	return &Matrix{
 		n:         m.n,
 		kind:      KindDAD,
 		delta:     m.delta.ScaleCols(right),
@@ -445,11 +420,7 @@ func (m *Matrix) WithScales(left, right []float32) *Matrix {
 		order:     m.order,
 		branchOff: m.branchOff,
 		diag:      lc,
-		src:       m.src,
-		srcLeft:   lc,
-		srcRight:  rc,
 	}
-	return out
 }
 
 // ToCSR decompresses the represented matrix back to CSR form —

@@ -1,8 +1,10 @@
 package cbm
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/dense"
 	"repro/internal/kernels"
@@ -246,6 +248,36 @@ func TestFootprintNeverWorseThanCSRPlusTree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A built matrix of every kind keeps no reference to the CSR it was
+// built from: a finalizer on the input must run after a GC while the
+// matrices are still live, so the input's memory is reclaimable and
+// the matrix holds what FootprintBytes reports, not the source too.
+func TestBuiltMatrixKeepsNoInputReference(t *testing.T) {
+	freed := make(chan struct{})
+	build := func() []*Matrix {
+		a := synth.SBMGroups(200, 20, 0.8, 0.4, 3)
+		runtime.SetFinalizer(a, func(*sparse.CSR) { close(freed) })
+		base, _, err := Compress(a, Options{Alpha: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := randomDiag(xrand.New(3), a.Rows)
+		return []*Matrix{base, base.WithColumnScale(d), base.WithSymmetricScale(d)}
+	}
+	ms := build()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(ms)
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(ms)
+	t.Fatal("the input CSR is still reachable from a built matrix after 20 GCs")
 }
 
 func TestHighSimilarityGraphCompresses(t *testing.T) {

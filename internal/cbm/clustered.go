@@ -91,7 +91,7 @@ func CompressClustered(a *sparse.CSR, opt Options, copt ClusterOptions) (*Matrix
 	delta := buildDeltaMatrix(a, parent, opt.Threads)
 	stats.DeltaTime = buildClock.Now().Sub(deltaStart)
 
-	m := &Matrix{n: a.Rows, kind: KindA, delta: delta, parent: parent, src: a}
+	m := &Matrix{n: a.Rows, kind: KindA, delta: delta, parent: parent}
 	m.order, m.branchOff = branchDecompose(parent)
 	return m, stats, cstats, nil
 }

@@ -2,6 +2,7 @@ package cbm_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/cbm"
@@ -28,7 +29,8 @@ func encodeContainer(f *testing.F, a *sparse.CSR, alpha int) []byte {
 }
 
 // FuzzDecode checks the binary-container parser never panics and that
-// anything it accepts behaves like a structurally valid CBM matrix.
+// anything it accepts behaves like a structurally valid CBM matrix and
+// multiplies deterministically.
 func FuzzDecode(f *testing.F) {
 	// Seed corpus: valid containers of each kind — including the
 	// adversarial shapes from internal/oracle (empty rows, duplicate
@@ -90,6 +92,18 @@ func FuzzDecode(f *testing.F) {
 		}
 		if back.Rows() != m.Rows() || back.Kind() != m.Kind() || back.NumDeltas() != m.NumDeltas() {
 			t.Fatal("re-decode changed metadata")
+		}
+		// It must multiply without panicking, with the same bits at 1
+		// and 2 threads; 9 columns cover an AVX strip and the tail.
+		b := dense.New(m.Rows(), 9)
+		for i := range b.Data {
+			b.Data[i] = float32(i%7) - 3
+		}
+		one, two := m.Mul(b), m.MulParallel(b, 2)
+		for i, v := range one.Data {
+			if math.Float32bits(v) != math.Float32bits(two.Data[i]) {
+				t.Fatalf("element %d: %v at 1 thread, %v at 2", i, v, two.Data[i])
+			}
 		}
 	})
 }

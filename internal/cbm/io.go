@@ -100,6 +100,14 @@ func Decode(r io.Reader) (*Matrix, error) {
 	if err := delta.Validate(); err != nil {
 		return nil, fmt.Errorf("cbm: corrupt delta matrix: %w", err)
 	}
+	for k, v := range delta.Vals {
+		switch {
+		case !finite(v):
+			return nil, fmt.Errorf("cbm: non-finite delta value %v at %d", v, k)
+		case kind == KindA && v != 1 && v != -1:
+			return nil, fmt.Errorf("cbm: delta value %v at %d (a KindA delta holds ±1 only)", v, k)
+		}
+	}
 	for x, p := range parent {
 		if p < -1 || int(p) >= n || int(p) == x {
 			return nil, fmt.Errorf("cbm: corrupt parent pointer %d at row %d", p, x)
@@ -114,6 +122,9 @@ func Decode(r io.Reader) (*Matrix, error) {
 			if d == 0 {
 				return nil, fmt.Errorf("cbm: zero diagonal entry at %d (DAD update divides by it)", i)
 			}
+			if !finite(d) {
+				return nil, fmt.Errorf("cbm: non-finite diagonal entry %v at %d", d, i)
+			}
 		}
 	}
 	m.order, m.branchOff = branchDecompose(parent)
@@ -124,6 +135,9 @@ func Decode(r io.Reader) (*Matrix, error) {
 	}
 	return m, nil
 }
+
+// finite reports whether v is neither ±Inf nor NaN.
+func finite(v float32) bool { return math.Abs(float64(v)) <= math.MaxFloat32 }
 
 // decodeChunk is how many 32-bit words Decode reads per step.
 const decodeChunk = 1 << 14

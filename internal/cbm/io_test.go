@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -105,6 +106,55 @@ func TestReadRejectsCorruptContainers(t *testing.T) {
 	for name, corrupt := range cases {
 		if _, err := Decode(bytes.NewReader(corrupt(good))); err == nil {
 			t.Fatalf("%s: corrupt container accepted", name)
+		}
+	}
+}
+
+// Values that pass the structural checks but would give silently wrong
+// products are rejected: a non-finite DAD diagonal entry, a non-finite
+// delta value, and a KindA delta value other than ±1.
+func TestReadRejectsBadValues(t *testing.T) {
+	a := synth.SBMGroups(60, 10, 0.7, 0.5, 5)
+	base, _, err := Compress(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := make([]float32, a.Rows)
+	for i := range d {
+		d[i] = 0.5
+	}
+	// put encodes m with one float32 overwritten: word k of the vals
+	// array, or of the diagonal when diag is set.
+	put := func(m *Matrix, diag bool, k int, v float32) []byte {
+		var buf bytes.Buffer
+		if err := m.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		b := buf.Bytes()
+		off := 21 + 4*(m.n+1) + 4*m.NumDeltas() // the vals array
+		if diag {
+			off += 4*m.NumDeltas() + 4*m.n // past vals and parent
+		}
+		binary.LittleEndian.PutUint32(b[off+4*k:], math.Float32bits(v))
+		return b
+	}
+	for name, stream := range map[string][]byte{
+		"non-finite diagonal": put(base.WithSymmetricScale(d), true, 3, float32(math.Inf(1))),
+		"non-finite delta":    put(base.WithColumnScale(d), false, 2, float32(math.NaN())),
+		"KindA delta not ±1":  put(base, false, 1, 2),
+	} {
+		if _, err := Decode(bytes.NewReader(stream)); err == nil {
+			t.Fatalf("%s: container accepted", name)
+		}
+	}
+	// Unmodified, each container decodes.
+	for _, m := range []*Matrix{base, base.WithColumnScale(d), base.WithSymmetricScale(d)} {
+		var buf bytes.Buffer
+		if err := m.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(&buf); err != nil {
+			t.Fatalf("%v: valid container rejected: %v", m.Kind(), err)
 		}
 	}
 }

@@ -5,14 +5,16 @@
 //  1. Multiplication stage: C ← A'·B (or (AD)'·B), a plain sparse-dense
 //     product on the delta matrix, delegated to the same SpMM kernel
 //     the CSR baseline uses (the paper delegates to Intel MKL here).
+//     For DAD matrices the kernel also applies Eq. 6's row scale d_x at
+//     its single store per row, so every row leaves this stage as
+//     d_x·((AD)'B)_x and a row hanging off the virtual root is final.
 //  2. Update stage: the compression tree is traversed in topological
-//     order; each visited row accumulates its parent's finished row
-//     (an axpy), with the extra d_x/d_parent row scaling for DAD
-//     matrices (Eq. 6), in kernels.TreeUpdate. Branches hanging off
-//     the virtual root are independent, so the parallel variant
-//     distributes blocks of whole branches to threads with dynamic
-//     scheduling, one kernel call per block; sequentially one call
-//     covers them all.
+//     order; each row with a real parent accumulates its parent's
+//     finished row (an axpy), scaled by d_x/d_parent for DAD matrices,
+//     in kernels.TreeUpdate. Branches hanging off the virtual root are
+//     independent, so the parallel variant distributes blocks of whole
+//     branches to threads with dynamic scheduling, one kernel call per
+//     block; sequentially one call covers them all.
 //
 // Property 3 holds: no scratch proportional to the matrix size is
 // allocated; everything happens in the output matrix C.
@@ -53,19 +55,15 @@ func (m *Matrix) MulParallel(b *dense.Matrix, threads int) *dense.Matrix {
 	return c
 }
 
-// MulTo computes c = M·b into the pre-allocated output c (overwritten).
-//
-// It dispatches to one of two physical execution plans, chosen per
-// matrix by the compression-ratio rule behind PlanFor: the paper's
-// two-stage pipeline (whole-matrix delta SpMM, barrier, tree update),
-// or the raw diag-scaled CSR product that skips the compression tree
-// entirely. The CSR plan computes the same product by a different
-// summation order and is validated within tolerance by the
-// differential oracle.
+// MulTo computes c = M·b into the pre-allocated output c (overwritten)
+// with the paper's two-stage pipeline: whole-matrix delta SpMM,
+// barrier, tree update. Per-element operation order does not depend on
+// the thread count, so the result is bitwise identical at every thread
+// count.
 //
 //cbm:hotpath
 func (m *Matrix) MulTo(c, b *dense.Matrix, threads int) {
-	m.mulStrategy(c, b, threads, m.PlanFor(threads, b.Cols), obs.Global)
+	m.mul(c, b, threads, obs.Global)
 }
 
 // MulToCtx is MulTo driven by an execution context: the thread budget
@@ -75,14 +73,19 @@ func (m *Matrix) MulTo(c, b *dense.Matrix, threads int) {
 //
 //cbm:hotpath
 func (m *Matrix) MulToCtx(ctx *exec.Ctx, c, b *dense.Matrix) {
-	m.mulStrategy(c, b, ctx.Threads(), m.PlanFor(ctx.Threads(), b.Cols), ctx.Sink())
+	m.mul(c, b, ctx.Threads(), ctx.Sink())
 }
 
-// MulToStrategyCtx is MulToStrategy driven by an execution context.
-//
 //cbm:hotpath
-func (m *Matrix) MulToStrategyCtx(ctx *exec.Ctx, c, b *dense.Matrix, strat UpdateStrategy) {
-	m.mulStrategy(c, b, ctx.Threads(), strat, ctx.Sink())
+func (m *Matrix) mul(c, b *dense.Matrix, threads int, sink obs.Sink) {
+	if b.Rows != m.n {
+		panic(fmt.Sprintf("cbm: Mul shape mismatch: %d×%d · %d×%d", m.n, m.n, b.Rows, b.Cols))
+	}
+	if c.Rows != m.n || c.Cols != b.Cols {
+		panic(fmt.Sprintf("cbm: Mul output shape mismatch: got %d×%d, want %d×%d", c.Rows, c.Cols, m.n, b.Cols))
+	}
+	sink.Inc(obs.CounterMulCalls)
+	m.mulTwoStage(c, b, threads, sink)
 }
 
 // mulTwoStage is the paper's Sec. V-A pipeline: delta SpMM over every
@@ -90,62 +93,8 @@ func (m *Matrix) MulToStrategyCtx(ctx *exec.Ctx, c, b *dense.Matrix, strat Updat
 //
 //cbm:hotpath
 func (m *Matrix) mulTwoStage(c, b *dense.Matrix, threads int, sink obs.Sink) {
-	kernels.SpMMToSink(c, m.delta, b, threads, sink)
-	// Closure-free sequential fast path: the obs.DoWith closure
-	// allocates at this call site even when the update then runs
-	// inline, which the zero-allocation serving path cannot afford. The
-	// branches are stored back to back, so one kernel call updates them
-	// all.
-	if parallel.Sequential(threads, m.NumBranches()) {
-		sp := sink.Begin(obs.StageUpdate)
-		m.updateRows(c, m.order)
-		sp.End()
-		return
-	}
-	// Blocks of whole branches, about grain rows each, the SpMM's row
-	// grain: block k is the branches whose first row sits in
-	// m.order[k·grain : (k+1)·grain], so a branch longer than grain is
-	// a block on its own (the blocks inside it are empty) and short
-	// branches share one kernel call.
-	grain := m.n / (8 * parallel.EffectiveThreads(threads, m.NumBranches()))
-	if grain < 16 {
-		grain = 16
-	}
-	obs.DoWith(sink, obs.StageUpdate, func() {
-		parallel.ForDynamic((m.n+grain-1)/grain, threads, 1, func(k int) {
-			lo, _ := slices.BinarySearch(m.branchOff, int32(k*grain))
-			hi, _ := slices.BinarySearch(m.branchOff, int32(min((k+1)*grain, m.n)))
-			if lo < hi {
-				m.updateRows(c, m.order[m.branchOff[lo]:m.branchOff[hi]])
-			}
-		})
-	})
-}
-
-// mulCSR is the StrategyCSR plan: the represented matrix multiplied
-// directly as diag(left)·src·diag(right)·B, skipping the compression
-// tree. Only available while the matrix carries its source CSR.
-//
-//cbm:hotpath
-func (m *Matrix) mulCSR(c, b *dense.Matrix, threads int, sink obs.Sink) {
-	if m.src == nil {
-		panic("cbm: StrategyCSR requires the source matrix (see HasCSRPlan); decoded artifacts do not carry it")
-	}
-	switch m.kind {
-	case KindA, KindAD, KindDAD:
-	default:
-		// The diagonals encode the kind implicitly, but a corrupted kind
-		// must fail as loudly here as in the tree-walking plans.
-		panic(kindPanicMsg(m.kind, m.n))
-	}
-	kernels.SpMMDiagTo(c, m.src, b, m.srcLeft, m.srcRight, threads, sink)
-}
-
-// updateRows applies the update stage (Eq. 6) to a run of whole
-// branches in pre-order, each parent strictly before its children.
-//
-//cbm:hotpath
-func (m *Matrix) updateRows(c *dense.Matrix, rows []int32) {
+	// The DAD row scale d_x rides on the SpMM's left diagonal, so the
+	// update stage visits only rows with a real parent.
 	var diag []float32
 	switch m.kind {
 	case KindA, KindAD:
@@ -154,71 +103,59 @@ func (m *Matrix) updateRows(c *dense.Matrix, rows []int32) {
 	default:
 		panic(kindPanicMsg(m.kind, m.n))
 	}
-	kernels.TreeUpdate(c, rows, m.parent, diag)
-}
-
-// UpdateStrategy names an execution plan: MulTo picks one through
-// PlanFor, and MulToStrategy forces one for ablation benchmarks and the
-// differential-verification sweeps.
-type UpdateStrategy int
-
-const (
-	// StrategyBranch is the paper's two-stage scheme: whole-matrix
-	// delta SpMM, barrier, then whole root subtrees distributed to
-	// threads for the update.
-	StrategyBranch UpdateStrategy = iota
-	// StrategyCSR bypasses the compression tree and multiplies the
-	// original matrix directly with the diag-scaled CSR kernel — the
-	// winning plan when compression bought nothing and the tree update
-	// is pure overhead. Available only while the matrix carries its
-	// source CSR (HasCSRPlan); its summation order differs from the
-	// two-stage plan, so results agree within floating-point tolerance
-	// rather than bitwise.
-	StrategyCSR
-)
-
-func (s UpdateStrategy) String() string {
-	switch s {
-	case StrategyBranch:
-		return "branch"
-	case StrategyCSR:
-		return "csr"
-	default:
-		return fmt.Sprintf("UpdateStrategy(%d)", int(s))
+	kernels.SpMMDiagTo(c, m.delta, b, diag, nil, threads, sink)
+	// Branches are stored largest first, so the single-row ones, whose
+	// root row the SpMM has already finished, are the tail of m.order:
+	// the update stops before them.
+	nb := m.multiRowBranches()
+	off := m.branchOff[:nb+1]
+	rows := int(off[nb])
+	// Closure-free sequential fast path: the obs.DoWith closure
+	// allocates at this call site even when the update then runs
+	// inline, which the zero-allocation serving path cannot afford. The
+	// branches are stored back to back, so one kernel call updates them
+	// all.
+	if parallel.Sequential(threads, nb) {
+		sp := sink.Begin(obs.StageUpdate)
+		kernels.TreeUpdate(c, m.order[:rows], m.parent, diag)
+		sp.End()
+		return
 	}
+	// Blocks of whole branches, about grain rows each, the SpMM's row
+	// grain: block k is the branches whose first row sits in
+	// m.order[k·grain : (k+1)·grain], so a branch longer than grain is
+	// a block on its own (the blocks inside it are empty) and short
+	// branches share one kernel call.
+	grain := rows / (8 * parallel.EffectiveThreads(threads, nb))
+	if grain < 16 {
+		grain = 16
+	}
+	obs.DoWith(sink, obs.StageUpdate, func() {
+		parallel.ForDynamic((rows+grain-1)/grain, threads, 1, func(k int) {
+			lo, _ := slices.BinarySearch(off, int32(k*grain))
+			hi, _ := slices.BinarySearch(off, int32(min((k+1)*grain, rows)))
+			if lo < hi {
+				kernels.TreeUpdate(c, m.order[off[lo]:off[hi]], m.parent, diag)
+			}
+		})
+	})
 }
 
-// MulToStrategy is MulTo with an explicit execution plan (no
-// auto-selection).
+// multiRowBranches returns how many branches hold more than one row:
+// branches are stored largest first, so these are the leading ones.
 //
 //cbm:hotpath
-func (m *Matrix) MulToStrategy(c, b *dense.Matrix, threads int, strat UpdateStrategy) {
-	m.mulStrategy(c, b, threads, strat, obs.Global)
-}
-
-//cbm:hotpath
-func (m *Matrix) mulStrategy(c, b *dense.Matrix, threads int, strat UpdateStrategy, sink obs.Sink) {
-	if b.Rows != m.n {
-		panic(fmt.Sprintf("cbm: Mul shape mismatch: %d×%d · %d×%d", m.n, m.n, b.Rows, b.Cols))
+func (m *Matrix) multiRowBranches() int {
+	lo, hi := 0, m.NumBranches()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.branchOff[mid+1]-m.branchOff[mid] > 1 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	if c.Rows != m.n || c.Cols != b.Cols {
-		panic(fmt.Sprintf("cbm: Mul output shape mismatch: got %d×%d, want %d×%d", c.Rows, c.Cols, m.n, b.Cols))
-	}
-	sink.Inc(obs.CounterMulCalls)
-	switch strat {
-	case StrategyBranch:
-		m.mulTwoStage(c, b, threads, sink)
-	case StrategyCSR:
-		m.mulCSR(c, b, threads, sink)
-	default:
-		panic(strategyPanicMsg(strat, m.n))
-	}
-}
-
-// strategyPanicMsg builds the panic text for an unknown strategy, out
-// of line for the same hotalloc reason as kindPanicMsg.
-func strategyPanicMsg(s UpdateStrategy, n int) string {
-	return fmt.Sprintf("cbm: unknown update strategy %d (%v) on %d×%d matrix", int(s), s, n, n)
+	return lo
 }
 
 // MulVec computes y = M·v for a dense vector (the matrix-vector product

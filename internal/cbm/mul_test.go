@@ -198,12 +198,11 @@ func TestScaledVariantPanics(t *testing.T) {
 	}()
 }
 
-// Neither plan's per-element operation order depends on the thread
-// count: the two-stage delta SpMM computes each output row alone and
-// the update walks each branch in pre-order on one worker; the CSR plan
-// sums each row in stored column order. Each plan's output must
-// therefore be bitwise equal to its own single-threaded run for every
-// kind, thread count and column width.
+// MulTo's per-element operation order does not depend on the thread
+// count: the delta SpMM computes each output row alone and the update
+// walks each branch in pre-order on one worker. Its output must
+// therefore be bitwise equal to its single-threaded run for every kind,
+// thread count and column width.
 func TestStrategyEquivalenceAllKinds(t *testing.T) {
 	rng := xrand.New(83)
 	a := synth.SBMGroups(260, 26, 0.85, 0.4, 37)
@@ -219,25 +218,21 @@ func TestStrategyEquivalenceAllKinds(t *testing.T) {
 	} {
 		for _, cols := range []int{1, 8, 33, 255, 256, 259} {
 			b := randomDense(rng, a.Rows, cols)
-			for _, plan := range []UpdateStrategy{StrategyBranch, StrategyCSR} {
-				want := dense.New(a.Rows, cols)
-				m.MulToStrategy(want, b, 1, plan)
-				for _, threads := range []int{2, 4, 8} {
-					got := dense.New(a.Rows, cols)
-					m.MulToStrategy(got, b, threads, plan)
-					if !got.Equal(want) {
-						t.Fatalf("%s %v threads=%d cols=%d: not bitwise equal to threads=1",
-							name, plan, threads, cols)
-					}
+			want := dense.New(a.Rows, cols)
+			m.MulTo(want, b, 1)
+			for _, threads := range []int{2, 4, 8} {
+				got := dense.New(a.Rows, cols)
+				m.MulTo(got, b, threads)
+				if !got.Equal(want) {
+					t.Fatalf("%s threads=%d cols=%d: not bitwise equal to threads=1", name, threads, cols)
 				}
 			}
 		}
 	}
 }
 
-// The strategy entry point must report the offending dimensions in its
-// shape panics, in the same format as MulTo.
-func TestMulToStrategyShapePanicMessage(t *testing.T) {
+// MulTo must report the offending dimensions in its shape panics.
+func TestMulToShapePanicMessage(t *testing.T) {
 	a := paperFig1Matrix()
 	m, _, err := Compress(a, Options{})
 	if err != nil {
@@ -263,7 +258,7 @@ func TestMulToStrategyShapePanicMessage(t *testing.T) {
 					t.Fatalf("panic = %v, want %q", r, c.want)
 				}
 			}()
-			m.MulToStrategy(c.c, c.b, 1, StrategyBranch)
+			m.MulTo(c.c, c.b, 1)
 		})
 	}
 }

@@ -1,28 +1,40 @@
-// Plan selection for MulTo. Every auto-dispatched multiply routes
-// through PlanFor, which applies one rule: when compression bought
-// almost nothing (nnz(A)/nnz(A') below csrRatioMax) the tree update is
-// pure overhead and the raw diag-scaled CSR product runs instead;
-// otherwise the paper's two-stage CBM pipeline runs. DESIGN.md records
-// the calibration sweep behind the threshold.
-
 package cbm
 
-// csrRatioMax is the compression ratio nnz(A)/nnz(A') below which MulTo
-// runs the CSR plan. Every registry graph lies at 1.00 or at ≥ 1.45, so
-// any value in (1.0, 1.45) gives the same choices; 1.2 sits between.
-const csrRatioMax = 1.2
+import "fmt"
 
-// PlanFor returns the execution plan MulTo picks for this matrix. The
-// choice is deterministic, so callers can force the same plan through
-// MulToStrategy and get bitwise-identical results to the auto
-// dispatch. Neither the thread count nor the operand width enters the
-// rule. Decoded artifacts carry no source matrix, so they always run
-// two-stage.
+// UpdateStrategy names an execution plan for MulTo.
+type UpdateStrategy int
+
+const (
+	// StrategyBranch is the paper's two-stage scheme: whole-matrix
+	// delta SpMM, barrier, then whole root subtrees distributed to
+	// threads for the update. It is the one plan MulTo runs.
+	StrategyBranch UpdateStrategy = iota
+	// StrategyCSR named the plan that multiplied the source CSR
+	// directly when compression bought nothing, which was removed with
+	// the source copy every matrix kept: once the DAD row scale rides on
+	// the delta SpMM, the two-stage plan does the same work at ratio 1.
+	// PlanFor never returns it. It stays so callers that compare
+	// against it (and its "csr" name) keep compiling.
+	StrategyCSR
+)
+
+func (s UpdateStrategy) String() string {
+	switch s {
+	case StrategyBranch:
+		return "branch"
+	case StrategyCSR:
+		return "csr"
+	default:
+		return fmt.Sprintf("UpdateStrategy(%d)", int(s))
+	}
+}
+
+// PlanFor returns the execution plan MulTo runs for this matrix at the
+// given thread count and operand width: always StrategyBranch. It
+// stays so callers that report the plan keep working.
 //
 //cbm:hotpath
 func (m *Matrix) PlanFor(threads, cols int) UpdateStrategy {
-	if m.src != nil && float64(m.src.NNZ())/float64(m.delta.NNZ()) < csrRatioMax {
-		return StrategyCSR
-	}
 	return StrategyBranch
 }

@@ -1,7 +1,6 @@
 package cbm
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,73 +32,26 @@ func TestPlanForDeterministic(t *testing.T) {
 	}
 }
 
-// The CSR plan computes the same product by a different summation
-// order: it must agree with the two-stage reference within float32
-// accumulation tolerance for every kind, and be bitwise identical to
-// itself across thread counts.
-func TestCSRPlanMatchesReference(t *testing.T) {
-	rng := xrand.New(43)
-	a := synth.HolmeKim(400, 3, 0.3, 59)
-	base, _, err := Compress(a, Options{Alpha: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !base.HasCSRPlan() {
-		t.Fatal("compressed matrix lost its source CSR")
-	}
-	d := randomDiag(rng, a.Rows)
-	b := randomDense(rng, a.Rows, 17)
-	for name, m := range map[string]*Matrix{
-		"A":   base,
-		"AD":  base.WithColumnScale(d),
-		"DAD": base.WithSymmetricScale(d),
-	} {
-		want := dense.New(a.Rows, b.Cols)
-		m.MulToStrategy(want, b, 1, StrategyBranch)
-		csr1 := dense.New(a.Rows, b.Cols)
-		m.MulToStrategy(csr1, b, 1, StrategyCSR)
-		for i := range want.Data {
-			w, g := float64(want.Data[i]), float64(csr1.Data[i])
-			if diff := math.Abs(w - g); diff > 1e-5+1e-4*math.Abs(w) {
-				t.Fatalf("%s: csr plan diverges at %d: %g vs %g", name, i, g, w)
-			}
-		}
-		for _, threads := range []int{2, 4, 8} {
-			csrT := dense.New(a.Rows, b.Cols)
-			m.MulToStrategy(csrT, b, threads, StrategyCSR)
-			if !csrT.Equal(csr1) {
-				t.Fatalf("%s: csr plan not thread-deterministic at %d threads", name, threads)
-			}
-		}
-	}
-}
-
-// The plan rule on the registry at mini scale and each graph's
-// parallel α: cora and pubmed compress to ratio 1.00 and run the CSR
-// plan, every other graph compresses by ≥ 1.45× and runs two-stage.
-// The rule ignores the thread count and the operand width.
+// Every registry graph at mini scale and its parallel α runs the
+// two-stage plan, cora and pubmed (ratio 1.00) included, whatever the
+// thread count and operand width; so does an empty matrix.
 func TestPlanRuleOnRegistry(t *testing.T) {
-	wantCSR := map[string]bool{"cora-mini": true, "pubmed-mini": true}
 	for _, d := range bench.MiniRegistry(4) {
-		m, _, err := Compress(registryMini4()[d.Name], Options{Alpha: d.Paper.BestAlphaPar})
+		a := registryMini4()[d.Name]
+		m, _, err := Compress(a, Options{Alpha: d.Paper.BestAlphaPar})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := StrategyBranch
-		if wantCSR[d.Name] {
-			want = StrategyCSR
-		}
-		ratio := float64(m.src.NNZ()) / float64(m.delta.NNZ())
+		ratio := float64(a.NNZ()) / float64(m.delta.NNZ())
 		for _, threads := range []int{1, 2, 8} {
 			for _, cols := range []int{1, 32, 500} {
-				if got := m.PlanFor(threads, cols); got != want {
+				if got := m.PlanFor(threads, cols); got != StrategyBranch {
 					t.Fatalf("%s (ratio %.2f) threads=%d cols=%d: PlanFor=%v, want %v",
-						d.Name, ratio, threads, cols, got, want)
+						d.Name, ratio, threads, cols, got, StrategyBranch)
 				}
 			}
 		}
 	}
-	// An empty matrix has no ratio (0/0); it runs two-stage.
 	empty, _, err := Compress(sparse.NewCSR(0, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +61,59 @@ func TestPlanRuleOnRegistry(t *testing.T) {
 	}
 }
 
+// Every entry point that multiplies (MulTo, MulToCtx, Mul and
+// MulParallel) must give the single-threaded MulTo bits at every
+// thread count, for every kind.
+func TestMulToAutoDispatchBitwiseStable(t *testing.T) {
+	rng := xrand.New(89)
+	a := synth.HolmeKim(350, 3, 0.3, 53)
+	base, _, err := Compress(a, Options{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := randomDiag(rng, a.Rows)
+	b := randomDense(rng, a.Rows, 19)
+	for name, m := range map[string]*Matrix{
+		"A":   base,
+		"AD":  base.WithColumnScale(d),
+		"DAD": base.WithSymmetricScale(d),
+	} {
+		want := dense.New(a.Rows, b.Cols)
+		m.MulTo(want, b, 1)
+		if !m.Mul(b).Equal(want) {
+			t.Fatalf("%s: Mul not bitwise equal to MulTo", name)
+		}
+		for _, threads := range []int{1, 2, 4, 8} {
+			got := dense.New(a.Rows, b.Cols)
+			m.MulToCtx(exec.New(threads), got, b)
+			if !got.Equal(want) {
+				t.Fatalf("%s threads=%d: MulToCtx not bitwise equal to MulTo", name, threads)
+			}
+			if !m.MulParallel(b, threads).Equal(want) {
+				t.Fatalf("%s threads=%d: MulParallel not bitwise equal to MulTo", name, threads)
+			}
+		}
+	}
+}
+
+func TestUpdateStrategyString(t *testing.T) {
+	cases := map[UpdateStrategy]string{
+		StrategyBranch:    "branch",
+		StrategyCSR:       "csr",
+		UpdateStrategy(9): "UpdateStrategy(9)",
+	}
+	for s, want := range cases {
+		if got := s.String(); got != want {
+			t.Fatalf("String(%d) = %q, want %q", int(s), got, want)
+		}
+	}
+}
+
 // A recorder-scoped context must see only its own stage spans. A
-// background goroutine hammering two-stage multiplies on an unrelated
-// matrix (recording update spans into the GLOBAL obs totals) must not
-// leak into the scoped split: the measured graph barely compresses, so
-// its own plan is CSR and records no update span at all.
+// background goroutine hammering multiplies on an unrelated matrix
+// (recording spans into the GLOBAL obs totals) must not leak into the
+// scoped split: the scoped recorder sees exactly one spmm and one
+// update span per call of its own.
 func TestMulToCtxScopedStagesUnderConcurrency(t *testing.T) {
 	a := synth.ErdosRenyi(600, 6, 101)
 	m, _, err := Compress(a, Options{})
@@ -137,7 +137,7 @@ func TestMulToCtxScopedStagesUnderConcurrency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			nm.MulToStrategy(nc, nb, 1, StrategyBranch)
+			nm.MulTo(nc, nb, 1)
 		}
 	}()
 	rec := obs.NewRecorder()
@@ -148,16 +148,13 @@ func TestMulToCtxScopedStagesUnderConcurrency(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if plan := m.PlanFor(ctx.Threads(), b.Cols); plan != StrategyCSR {
-		t.Fatalf("plan %v, want the CSR plan on an incompressible graph", plan)
-	}
-	if n, _ := rec.StageTotals(obs.StageUpdate); n != 0 {
-		t.Fatalf("scoped recorder saw %d update spans — the background goroutine's spans leaked in", n)
+	if n, _ := rec.StageTotals(obs.StageUpdate); n != calls {
+		t.Fatalf("scoped recorder saw %d update spans, want %d: the background goroutine's spans leaked in", n, calls)
 	}
 	if n, _ := rec.StageTotals(obs.StageSpMM); n != calls {
 		t.Fatalf("scoped recorder saw %d spmm spans, want %d", n, calls)
 	}
 	if gn, _ := obs.StageTotals(obs.StageUpdate); gn == 0 {
-		t.Fatal("background two-stage multiplies recorded no global update span")
+		t.Fatal("background multiplies recorded no global update span")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/dense"
+	"repro/internal/exec"
 	"repro/internal/mca"
 	"repro/internal/sparse"
 	"repro/internal/synth"
@@ -97,7 +98,7 @@ func TestUnknownKindPanics(t *testing.T) {
 		call func(m *Matrix)
 	}{
 		{"MulTo", func(m *Matrix) { m.MulTo(dense.New(n, 4), b, 1) }},
-		{"MulToStrategy", func(m *Matrix) { m.MulToStrategy(dense.New(n, 4), b, 1, StrategyBranch) }},
+		{"MulToCtx", func(m *Matrix) { m.MulToCtx(exec.New(1), dense.New(n, 4), b) }},
 		{"MulVec", func(m *Matrix) { m.MulVec(v) }},
 		{"MulVecParallel", func(m *Matrix) { m.MulVecParallel(v, 1) }},
 	} {

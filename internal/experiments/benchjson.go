@@ -46,8 +46,10 @@ import (
 // plan space they measured, and added the machine record (nproc,
 // gomaxprocs) next to threads, which is clamped to nproc; v9 dropped
 // the reorder block, the reordered flag and the shard block with the
-// similarity reordering and sharded serving they measured.
-const BenchSchema = "cbm-bench/v9"
+// similarity reordering and sharded serving they measured; v10 dropped
+// cbm_two_stage, cbm_csr_plan and chosen_plan with the CSR plan: MulTo
+// runs the two-stage plan on every matrix.
+const BenchSchema = "cbm-bench/v10"
 
 // BenchTiming is bench.Timing flattened to seconds for JSON.
 type BenchTiming struct {
@@ -62,9 +64,8 @@ func toBenchTiming(t bench.Timing) BenchTiming {
 
 // BenchStageSplit attributes the mean CBM multiplication time to the
 // two pipeline stages of Sec. V-A (zero when obs is disabled), from
-// the forced two-stage run under its own scoped obs.Recorder, so
-// concurrent activity elsewhere in the process cannot leak into the
-// split.
+// the MulTo runs under their own scoped obs.Recorder, so concurrent
+// activity elsewhere in the process cannot leak into the split.
 type BenchStageSplit struct {
 	SpMMSeconds   float64 `json:"spmm_s"`
 	UpdateSeconds float64 `json:"update_s"`
@@ -73,10 +74,8 @@ type BenchStageSplit struct {
 }
 
 // BenchDataset is one dataset's row of the benchmark report. CBMMul is
-// the production entry point (MulTo, compression-ratio plan rule);
-// CBMTwoStage and CBMCSRPlan force the two plans it chooses between.
-// All four timings, CSRSpMM included, come from one interleaved
-// rotation, so Speedup is a paired ratio.
+// the production entry point (MulTo). Both timings come from one
+// interleaved rotation, so Speedup is a paired ratio.
 type BenchDataset struct {
 	Name             string      `json:"name"`
 	Nodes            int         `json:"nodes"`
@@ -86,17 +85,9 @@ type BenchDataset struct {
 	BuildSeconds     float64     `json:"build_s"`
 	CSRSpMM          BenchTiming `json:"csr_spmm"`
 	CBMMul           BenchTiming `json:"cbm_mul"`
-	CBMTwoStage      BenchTiming `json:"cbm_two_stage"`
-	// CBMCSRPlan is the forced StrategyCSR plan — the represented matrix
-	// multiplied directly through the diag-scaled CSR kernel, skipping
-	// the compression tree (v5).
-	CBMCSRPlan BenchTiming `json:"cbm_csr_plan"`
 	// Speedup is CSR SpMM over CBM MulTo.
-	Speedup float64 `json:"speedup"`
-	// ChosenPlan is the plan MulTo picks for this matrix
-	// (cbm.UpdateStrategy string).
-	ChosenPlan string          `json:"chosen_plan"`
-	Stages     BenchStageSplit `json:"stage_split"`
+	Speedup float64         `json:"speedup"`
+	Stages  BenchStageSplit `json:"stage_split"`
 	// Inference is the end-to-end serving comparison: per-request GCN2
 	// engine latency at each probed concurrency level.
 	Inference []BenchInference `json:"inference"`
@@ -195,25 +186,22 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 		}
 		build := time.Since(start)
 
-		// The headline pair (CSR SpMM vs the chosen CBM plan) and the
-		// two forced plans are measured in one interleaved rotation, so
-		// machine drift cannot masquerade as a format or plan
-		// difference. The two-stage plan runs under its own scoped
-		// obs.Recorder (the CSR plan also records StageSpMM, so one
-		// shared bracket would conflate it with the two-stage split).
-		recTwo := obs.NewRecorder()
-		ctxTwo := exec.NewWithSink(cfg.Threads, recTwo)
+		// The headline pair (CSR SpMM vs CBM MulTo) is measured in one
+		// interleaved rotation, so machine drift cannot masquerade as a
+		// format difference. MulTo runs under its own scoped
+		// obs.Recorder (the CSR SpMM also records StageSpMM, so the
+		// global totals would conflate it with the two-stage split).
+		rec := obs.NewRecorder()
+		ctx := exec.NewWithSink(cfg.Threads, rec)
 		tms := bench.MeasureInterleaved(cfg.Reps, cfg.Warmup,
 			func() { kernels.SpMMTo(c, a, b, cfg.Threads) },
-			func() { m.MulTo(c, b, cfg.Threads) },
-			func() { m.MulToStrategyCtx(ctxTwo, c, b, cbm.StrategyBranch) },
-			func() { m.MulToStrategy(c, b, cfg.Threads, cbm.StrategyCSR) },
+			func() { m.MulToCtx(ctx, c, b) },
 		)
-		tCSR, tCBM, tTwoStage, tCSRPlan := tms[0], tms[1], tms[2], tms[3]
+		tCSR, tCBM := tms[0], tms[1]
 
 		calls := float64(cfg.Reps + cfg.Warmup)
-		spmmS := recTwo.StageSeconds(obs.StageSpMM) / calls
-		updS := recTwo.StageSeconds(obs.StageUpdate) / calls
+		spmmS := rec.StageSeconds(obs.StageSpMM) / calls
+		updS := rec.StageSeconds(obs.StageUpdate) / calls
 		frac := 0.0
 		if spmmS+updS > 0 {
 			frac = spmmS / (spmmS + updS)
@@ -235,10 +223,7 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 			BuildSeconds:     build.Seconds(),
 			CSRSpMM:          toBenchTiming(tCSR),
 			CBMMul:           toBenchTiming(tCBM),
-			CBMTwoStage:      toBenchTiming(tTwoStage),
-			CBMCSRPlan:       toBenchTiming(tCSRPlan),
 			Speedup:          speedup,
-			ChosenPlan:       m.PlanFor(cfg.Threads, cfg.Cols).String(),
 			Stages: BenchStageSplit{
 				SpMMSeconds:   spmmS,
 				UpdateSeconds: updS,
@@ -444,15 +429,8 @@ func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 		if d.Name == "" || d.Nodes <= 0 {
 			return nil, fmt.Errorf("experiments: bench report entry %+v is incomplete", d)
 		}
-		if d.CBMMul.MeanSeconds <= 0 || d.CSRSpMM.MeanSeconds <= 0 ||
-			d.CBMTwoStage.MeanSeconds <= 0 || d.CBMCSRPlan.MeanSeconds <= 0 {
+		if d.CBMMul.MeanSeconds <= 0 || d.CSRSpMM.MeanSeconds <= 0 {
 			return nil, fmt.Errorf("experiments: bench report entry %s has non-positive timings", d.Name)
-		}
-		switch d.ChosenPlan {
-		case cbm.StrategyBranch.String(), cbm.StrategyCSR.String():
-		default:
-			return nil, fmt.Errorf("experiments: bench report entry %s has unknown chosen_plan %q",
-				d.Name, d.ChosenPlan)
 		}
 		if len(d.Inference) == 0 {
 			return nil, fmt.Errorf("experiments: bench report entry %s has no inference latencies", d.Name)
@@ -479,7 +457,6 @@ func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 func WriteBench(w io.Writer, r *BenchReport) {
 	t := &bench.Table{Header: []string{
 		"Graph", "Alpha", "ratio", "CSR SpMM", "CBM Mul", "spd",
-		"2stage", "csrplan", "plan",
 		"spmm_s", "update_s", "spmm%",
 	}}
 	for _, d := range r.Datasets {
@@ -489,9 +466,6 @@ func WriteBench(w io.Writer, r *BenchReport) {
 			fmt.Sprintf("%.4f (± %.4f)", d.CSRSpMM.MeanSeconds, d.CSRSpMM.StdSeconds),
 			fmt.Sprintf("%.4f (± %.4f)", d.CBMMul.MeanSeconds, d.CBMMul.StdSeconds),
 			fmt.Sprintf("%.2f", d.Speedup),
-			fmt.Sprintf("%.4f", d.CBMTwoStage.MeanSeconds),
-			fmt.Sprintf("%.4f", d.CBMCSRPlan.MeanSeconds),
-			d.ChosenPlan,
 			fmt.Sprintf("%.4f", d.Stages.SpMMSeconds),
 			fmt.Sprintf("%.4f", d.Stages.UpdateSeconds),
 			fmt.Sprintf("%.0f%%", 100*d.Stages.SpMMFraction),

@@ -46,33 +46,26 @@ func SpMMParallel(s *sparse.CSR, b *dense.Matrix, threads int) *dense.Matrix {
 //
 //cbm:hotpath
 func SpMMTo(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, threads int) {
-	SpMMToSink(c, s, b, threads, obs.Global)
-}
-
-// SpMMToSink is SpMMTo with an explicit observability sink, so callers
-// measuring through an obs.Recorder (the bench report, perfbench)
-// get the SpMM stage attributed to exactly their own calls.
-//
-//cbm:hotpath
-func SpMMToSink(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, threads int, sink obs.Sink) {
 	if s.Cols != b.Rows {
 		panic(fmt.Sprintf("kernels: SpMM shape mismatch %d×%d · %d×%d", s.Rows, s.Cols, b.Rows, b.Cols))
 	}
 	if c.Rows != s.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("kernels: SpMM output shape mismatch: c is %dx%d, want %dx%d", c.Rows, c.Cols, s.Rows, b.Cols))
 	}
-	spmmDiag(c, s, b, nil, nil, threads, sink)
+	spmmDiag(c, s, b, nil, nil, threads, obs.Global)
 }
 
 // SpMMDiagTo computes c = diag(left)·s·diag(right)·b without ever
 // materializing the scaled sparse matrix: row i accumulates
 // right[j]·s[i,j]·b[j,:] over the row's nonzeros and is then scaled by
-// left[i]. A nil diagonal means identity. This is the memory-free CSR
-// execution plan for the scaled factorizations (AD: right only; DAD:
-// both) — what cbm.StrategyCSR runs when the plan rule decides the
-// compression tree does not pay on a graph. Per-row accumulation order
-// is the stored column order and rows are independent, so results are
-// bitwise identical across thread counts.
+// left[i], once, at the row's single store. A nil diagonal means
+// identity. The CBM multiplication stage passes the DAD diagonal as
+// left, which applies Eq. 6's row scale d_x to the delta product in
+// the same pass. Per-row accumulation order is the stored column order
+// and rows are independent, so results are bitwise identical across
+// thread counts. Its spans and counters go to sink, so callers
+// measuring through an obs.Recorder get the SpMM stage attributed to
+// exactly their own calls.
 //
 //cbm:hotpath
 func SpMMDiagTo(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []float32, threads int, sink obs.Sink) {

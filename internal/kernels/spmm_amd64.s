@@ -72,14 +72,21 @@ quad:
 	XORQ   R11, R11
 	TESTQ  CX, CX
 	JZ     quadStore
+	JMP    quadLoop
+
+	// The right-diagonal step sits off the loop's fall-through path, so
+	// a nil right (every caller today) takes no branch per nonzero: the
+	// taken branch cost about a fifth of the strip loop's time.
+quadRight:
+	VBROADCASTSS (R10)(AX*4), Y10
+	VMULPS       Y10, Y4, Y4            // vals[k]·right[col]
+	JMP          quadValue
 
 quadLoop:
 	MOVL         (R8)(R11*4), AX        // cols[k], non-negative: zero-extended
 	VBROADCASTSS (R9)(R11*4), Y4
 	TESTQ        R10, R10
-	JZ           quadValue
-	VBROADCASTSS (R10)(AX*4), Y10
-	VMULPS       Y10, Y4, Y4            // vals[k]·right[col]
+	JNZ          quadRight
 
 quadValue:
 	IMULQ        R13, AX                // byte offset of row col
@@ -122,14 +129,18 @@ pair:
 	XORQ   R11, R11
 	TESTQ  CX, CX
 	JZ     pairStore
+	JMP    pairLoop
+
+pairRight:
+	VBROADCASTSS (R10)(AX*4), Y10
+	VMULPS       Y10, Y4, Y4            // vals[k]·right[col]
+	JMP          pairValue
 
 pairLoop:
 	MOVL         (R8)(R11*4), AX
 	VBROADCASTSS (R9)(R11*4), Y4
 	TESTQ        R10, R10
-	JZ           pairValue
-	VBROADCASTSS (R10)(AX*4), Y10
-	VMULPS       Y10, Y4, Y4
+	JNZ          pairRight
 
 pairValue:
 	IMULQ        R13, AX
@@ -160,14 +171,18 @@ single:
 	XORQ   R11, R11
 	TESTQ  CX, CX
 	JZ     singleStore
+	JMP    singleLoop
+
+singleRight:
+	VBROADCASTSS (R10)(AX*4), Y10
+	VMULPS       Y10, Y4, Y4            // vals[k]·right[col]
+	JMP          singleValue
 
 singleLoop:
 	MOVL         (R8)(R11*4), AX
 	VBROADCASTSS (R9)(R11*4), Y4
 	TESTQ        R10, R10
-	JZ           singleValue
-	VBROADCASTSS (R10)(AX*4), Y10
-	VMULPS       Y10, Y4, Y4
+	JNZ          singleRight
 
 singleValue:
 	IMULQ        R13, AX

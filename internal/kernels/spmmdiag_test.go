@@ -102,8 +102,8 @@ func TestSpMMSinkScoping(t *testing.T) {
 	c := dense.New(300, 5)
 	rec := obs.NewRecorder()
 	other := obs.NewRecorder()
-	SpMMToSink(c, s, b, 1, rec)
-	SpMMToSink(c, s, b, 4, rec)
+	SpMMDiagTo(c, s, b, nil, nil, 1, rec)
+	SpMMDiagTo(c, s, b, nil, nil, 4, rec)
 	SpMMDiagTo(c, s, b, nil, nil, 1, rec)
 	if n, _ := rec.StageTotals(obs.StageSpMM); n != 3 {
 		t.Fatalf("recorder saw %d spmm spans, want 3", n)

@@ -10,23 +10,25 @@ import (
 
 // TreeUpdate applies the update stage of the CBM two-stage product
 // (Eq. 6 of the paper) to the listed rows of c, in the given order. c
-// holds the delta SpMM result; every row must come after its parent in
-// rows, or belong to a run that has already been updated, so each
+// holds the delta SpMM result, already scaled by diag for DAD matrices
+// (SpMMDiagTo's left diagonal); every row must come after its parent
+// in rows, or belong to a run that has already been updated, so each
 // parent row is final when its children read it (a pre-order run of
-// compression-tree rows does this).
+// compression-tree rows does this). Rows whose parent is the virtual
+// root (p < 0) are final already and are left as they are.
 //
 // With diag nil (A and AD matrices) row x becomes row x + row p for
-// p = parent[x], and rows whose parent is the virtual root (p < 0) are
-// left as they are. With diag (DAD matrices) row x becomes
-// (d_x/d_p)·row p + d_x·row x, the quotient rounded to float32, and a
-// row whose parent is the virtual root becomes d_x·row x.
+// p = parent[x]. With diag (DAD matrices) row x becomes
+// (d_x/d_p)·row p + row x, the quotient rounded to float32: with row x
+// holding d_x·((AD)'B)_x this is Eq. 6's d_x·(u_p/d_p + ((AD)'B)_x).
 //
 // On amd64 with AVX one assembly call covers every full 8-column strip
 // of the whole run and the n mod 8 tail columns run the portable loop,
 // which is the whole kernel elsewhere. Each lane does exactly what
-// blas.Add, blas.AxpbyTo and blas.Scal do to that element, so the
-// result is bitwise identical to the portable loop. The row indices in
-// rows, and the parents they point at, must be rows of c; they are not
+// blas.Add and blas.Axpy do to that element, a zero quotient skipping
+// the row as Axpy skips a zero scale, so the result is bitwise
+// identical to the portable loop. The row indices in rows, and the
+// parents they point at, must be rows of c; they are not
 // bounds-checked on the AVX path.
 //
 //cbm:hotpath
@@ -53,25 +55,16 @@ func TreeUpdate(c *dense.Matrix, rows, parent []int32, diag []float32) {
 //
 //cbm:hotpath
 func treeUpdatePortable(c *dense.Matrix, rows, parent []int32, diag []float32, lo int) {
-	if diag == nil {
-		for _, x := range rows {
-			p := parent[x]
-			if p < 0 {
-				continue // virtual parent row is zero: nothing to add
-			}
-			blas.Add(c.Row(int(p))[lo:], c.Row(int(x))[lo:])
-		}
-		return
-	}
 	for _, x := range rows {
 		p := parent[x]
-		row := c.Row(int(x))[lo:]
 		if p < 0 {
-			// Eq. 6 with a virtual parent: u_x = d_x · ((AD)'B)_x.
-			blas.Scal(diag[x], row)
-			continue
+			continue // virtual parent row is zero: nothing to add
 		}
-		// u_x = d_x·(u_p/d_p + ((AD)'B)_x), fused into one pass.
-		blas.AxpbyTo(row, diag[x]/diag[p], c.Row(int(p))[lo:], diag[x], row)
+		prow, row := c.Row(int(p))[lo:], c.Row(int(x))[lo:]
+		if diag == nil {
+			blas.Add(prow, row)
+		} else {
+			blas.Axpy(diag[x]/diag[p], prow, row)
+		}
 	}
 }

@@ -7,17 +7,18 @@
 // columns. For each row x with parent p = parent[x] (−1 is the virtual
 // root):
 //
+//	p < 0:               skipped: the virtual row is zero
 //	diag == nil, p ≥ 0:  c[x] = c[x] + c[p]                    (addAVX)
-//	diag == nil, p < 0:  skipped: the virtual row is zero
-//	diag != nil, p ≥ 0:  c[x] = (d_x/d_p)·c[p] + d_x·c[x]      (axpbyAVX)
-//	diag != nil, p < 0:  c[x] = d_x·c[x]                       (scalAVX)
+//	diag != nil, p ≥ 0:  c[x] = (d_x/d_p)·c[p] + c[x]          (axpyAVX)
 //
 // Each lane keeps the operation and operand order of the blas kernel
-// named on its line: every product is rounded on its own before the
-// add (VMULPS then VADDPS, no FMA), and the quotient d_x/d_p is one
-// VDIVSS, the same float32 division the portable loop rounds. So every
-// element is bitwise equal to the portable loop. Blocks are taken four,
-// then one at a time, and each is loaded before it is stored.
+// named on its line: the product is rounded on its own before the add
+// (VMULPS then VADDPS, no FMA), and the quotient d_x/d_p is one
+// VDIVSS, the same float32 division the portable loop rounds; a ±0
+// quotient skips the row, as blas.Axpy skips a zero scale, while a NaN
+// one does not. So every element is bitwise equal to the portable loop.
+// Blocks are taken four, then one at a time, and each is loaded before
+// it is stored.
 TEXT ·treeUpdateAVX(SB), NOSPLIT, $0-56
 	MOVQ  c+0(FP), R11
 	MOVQ  rows+8(FP), R8
@@ -27,8 +28,9 @@ TEXT ·treeUpdateAVX(SB), NOSPLIT, $0-56
 	MOVQ  n+40(FP), R13
 	SHLQ  $2, R13                  // row stride in bytes
 	MOVQ  strips+48(FP), R12
+	VXORPS X15, X15, X15           // +0, for the zero-quotient test
 	TESTQ R10, R10
-	JNZ   dadRow
+	JNZ   axpyRow
 
 addRow:
 	TESTQ   CX, CX
@@ -78,90 +80,62 @@ addOne:
 	DECQ    DX
 	JMP     addOne
 
-dadRow:
-	TESTQ        CX, CX
-	JZ           done
-	DECQ         CX
-	MOVL         (R8), AX
-	ADDQ         $4, R8
-	MOVLQSX      (R9)(AX*4), BX
-	MOVQ         AX, DI
-	IMULQ        R13, DI
-	ADDQ         R11, DI
-	MOVQ         R12, DX
-	TESTQ        BX, BX
-	JS           scalRow
-	VMOVSS       (R10)(AX*4), X0
-	VDIVSS       (R10)(BX*4), X0, X0 // d_x/d_p
-	VSHUFPS      $0, X0, X0, X0
-	VINSERTF128  $1, X0, Y0, Y0
-	VBROADCASTSS (R10)(AX*4), Y1     // d_x
-	MOVQ         BX, SI
-	IMULQ        R13, SI
-	ADDQ         R11, SI
+axpyRow:
+	TESTQ    CX, CX
+	JZ       done
+	DECQ     CX
+	MOVL     (R8), AX
+	ADDQ     $4, R8
+	MOVLQSX  (R9)(AX*4), BX
+	TESTQ    BX, BX
+	JS       axpyRow               // virtual parent: the row is final
+	VMOVSS   (R10)(AX*4), X0
+	VDIVSS   (R10)(BX*4), X0, X0   // q = d_x/d_p
+	VUCOMISS X15, X0
+	JNE      axpyScale
+	JPC      axpyRow               // q = ±0: skipped, as blas.Axpy skips a zero scale
 
-axpbyQuad:
+axpyScale:
+	VSHUFPS     $0, X0, X0, X0
+	VINSERTF128 $1, X0, Y0, Y0
+	MOVQ        AX, DI
+	IMULQ       R13, DI
+	ADDQ        R11, DI            // &c[x,0]
+	MOVQ        BX, SI
+	IMULQ       R13, SI
+	ADDQ        R11, SI            // &c[p,0]
+	MOVQ        R12, DX
+
+axpyQuad:
 	CMPQ    DX, $4
-	JLT     axpbyOne
-	VMULPS  (SI), Y0, Y2
-	VMULPS  32(SI), Y0, Y3
-	VMULPS  64(SI), Y0, Y4
-	VMULPS  96(SI), Y0, Y5
-	VMULPS  (DI), Y1, Y6
-	VMULPS  32(DI), Y1, Y7
-	VMULPS  64(DI), Y1, Y8
-	VMULPS  96(DI), Y1, Y9
-	VADDPS  Y6, Y2, Y2
-	VADDPS  Y7, Y3, Y3
-	VADDPS  Y8, Y4, Y4
-	VADDPS  Y9, Y5, Y5
-	VMOVUPS Y2, (DI)
-	VMOVUPS Y3, 32(DI)
-	VMOVUPS Y4, 64(DI)
-	VMOVUPS Y5, 96(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $4, DX
-	JMP     axpbyQuad
-
-axpbyOne:
-	TESTQ   DX, DX
-	JZ      dadRow
-	VMULPS  (SI), Y0, Y2
-	VMULPS  (DI), Y1, Y6
-	VADDPS  Y6, Y2, Y2
-	VMOVUPS Y2, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    DX
-	JMP     axpbyOne
-
-scalRow:
-	VBROADCASTSS (R10)(AX*4), Y0     // d_x
-
-scalQuad:
-	CMPQ    DX, $4
-	JLT     scalOne
-	VMULPS  (DI), Y0, Y1
-	VMULPS  32(DI), Y0, Y2
-	VMULPS  64(DI), Y0, Y3
-	VMULPS  96(DI), Y0, Y4
+	JLT     axpyOne
+	VMULPS  (SI), Y0, Y1
+	VMULPS  32(SI), Y0, Y2
+	VMULPS  64(SI), Y0, Y3
+	VMULPS  96(SI), Y0, Y4
+	VADDPS  (DI), Y1, Y1
+	VADDPS  32(DI), Y2, Y2
+	VADDPS  64(DI), Y3, Y3
+	VADDPS  96(DI), Y4, Y4
 	VMOVUPS Y1, (DI)
 	VMOVUPS Y2, 32(DI)
 	VMOVUPS Y3, 64(DI)
 	VMOVUPS Y4, 96(DI)
+	ADDQ    $128, SI
 	ADDQ    $128, DI
 	SUBQ    $4, DX
-	JMP     scalQuad
+	JMP     axpyQuad
 
-scalOne:
+axpyOne:
 	TESTQ   DX, DX
-	JZ      dadRow
-	VMULPS  (DI), Y0, Y1
+	JZ      axpyRow
+	VMULPS  (SI), Y0, Y1
+	VADDPS  (DI), Y1, Y1
 	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
 	ADDQ    $32, DI
 	DECQ    DX
-	JMP     scalOne
+	JMP     axpyOne
 
 done:
 	VZEROUPPER

@@ -14,10 +14,9 @@ import (
 
 // TestConcurrentMulToRecordsConsistently drives the real instrumented
 // pipeline from many goroutines at once — the -race half of the obs
-// acceptance criteria. The two-stage plan must record exactly one
-// update span and one spmm span per call, the CSR plan one spmm span
-// and no update span, with no torn counts; neither records the fused
-// stage, which no plan emits any more.
+// acceptance criteria. MulTo must record exactly one update span and
+// one spmm span per call, with no torn counts, and never the fused
+// stage, which nothing emits any more.
 func TestConcurrentMulToRecordsConsistently(t *testing.T) {
 	a := synth.SBMGroups(300, 20, 0.8, 0.3, 7)
 	m, _, err := cbm.Compress(a, cbm.Options{})
@@ -30,23 +29,19 @@ func TestConcurrentMulToRecordsConsistently(t *testing.T) {
 
 	const goroutines, iters = 6, 10
 	const calls = goroutines * iters
-	run := func(strat cbm.UpdateStrategy) {
-		var wg sync.WaitGroup
-		wg.Add(goroutines)
-		for g := 0; g < goroutines; g++ {
-			go func() {
-				defer wg.Done()
-				c := dense.New(a.Rows, 8)
-				for i := 0; i < iters; i++ {
-					m.MulToStrategy(c, b, 2, strat)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
 	obs.Reset()
-	run(cbm.StrategyBranch)
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			c := dense.New(a.Rows, 8)
+			for i := 0; i < iters; i++ {
+				m.MulTo(c, b, 2)
+			}
+		}()
+	}
+	wg.Wait()
 	if v := obs.CounterValue(obs.CounterMulCalls); v != calls {
 		t.Fatalf("mul_calls = %d, want %d", v, calls)
 	}
@@ -57,22 +52,7 @@ func TestConcurrentMulToRecordsConsistently(t *testing.T) {
 		t.Fatalf("spmm stage count=%d nanos=%d, want count=%d and nanos>0", count, nanos, calls)
 	}
 	if count, _ := obs.StageTotals(obs.StageFused); count != 0 {
-		t.Fatalf("fused stage count=%d after two-stage calls, want 0", count)
-	}
-
-	obs.Reset()
-	run(cbm.StrategyCSR)
-	if v := obs.CounterValue(obs.CounterMulCalls); v != calls {
-		t.Fatalf("mul_calls = %d, want %d", v, calls)
-	}
-	if count, nanos := obs.StageTotals(obs.StageSpMM); count != calls || nanos <= 0 {
-		t.Fatalf("spmm stage count=%d nanos=%d, want count=%d and nanos>0", count, nanos, calls)
-	}
-	if count, _ := obs.StageTotals(obs.StageUpdate); count != 0 {
-		t.Fatalf("update stage count=%d after csr calls, want 0", count)
-	}
-	if count, _ := obs.StageTotals(obs.StageFused); count != 0 {
-		t.Fatalf("fused stage count=%d after csr calls, want 0", count)
+		t.Fatalf("fused stage count=%d, want 0", count)
 	}
 }
 

@@ -39,7 +39,7 @@ const (
 	// baseline product or the CBM delta product (stage 1 of MulTo).
 	StageSpMM Stage = iota
 	// StageUpdate is the CBM compression-tree update traversal
-	// (stage 2 of MulTo and MulToStrategy).
+	// (stage 2 of MulTo).
 	StageUpdate
 	// StageFused named the fused single-pass CBM plan, which was
 	// removed; no code emits it, so it always reads zero. It stays so
@@ -112,7 +112,7 @@ func Stages() [numStages]Stage {
 type Counter uint8
 
 const (
-	// CounterMulCalls counts cbm.Matrix.MulTo / MulToStrategy calls.
+	// CounterMulCalls counts cbm.Matrix.MulTo / MulToCtx calls.
 	CounterMulCalls Counter = iota
 	// CounterMulVecCalls counts cbm MulVec / MulVecParallel calls.
 	CounterMulVecCalls

@@ -64,8 +64,8 @@ func CheckTreeReconstruction(a *sparse.CSR, m *cbm.Matrix) error {
 
 // CheckMulVecConsistency verifies the matrix-vector path against the
 // matrix-matrix path. MulVec is the two-stage plan on v as an n×1
-// operand, so it must be bitwise identical to MulToStrategy's two-stage
-// plan on the single-column matrix holding v, and MulVecParallel must
+// operand, so it must be bitwise identical to MulTo on the
+// single-column matrix holding v, and MulVecParallel must
 // be bitwise identical to MulVec (per-element operation order does not
 // depend on the thread count).
 func CheckMulVecConsistency(m *cbm.Matrix, v []float32, threads int) error {
@@ -77,7 +77,7 @@ func CheckMulVecConsistency(m *cbm.Matrix, v []float32, threads int) error {
 	b := dense.New(n, 1)
 	copy(b.Data, v)
 	c := dense.New(n, 1)
-	m.MulToStrategy(c, b, 1, cbm.StrategyBranch)
+	m.MulTo(c, b, 1)
 	if d := CompareVec(y, c.Data, Tolerance{}); d != nil {
 		return fmt.Errorf("MulVec not bitwise equal to single-column two-stage MulTo: %w", d)
 	}
@@ -87,51 +87,19 @@ func CheckMulVecConsistency(m *cbm.Matrix, v []float32, threads int) error {
 	return nil
 }
 
-// CheckStrategyEquivalence verifies both execution plans. The two-stage
-// plan's per-element operation order does not depend on the thread
-// count, so it must match its single-threaded run bitwise at every
-// thread count. StrategyCSR (when available) sums the original
-// matrix's row directly instead of delta+tree, so it is held to the
-// Loose floating-point tolerance against two-stage — plus a bitwise
-// thread-determinism check of its own. The auto-dispatching MulTo must
-// be bitwise identical to whatever plan PlanFor says it picks.
+// CheckStrategyEquivalence verifies MulTo's thread invariance: the
+// two-stage plan's per-element operation order does not depend on the
+// thread count, so MulTo must match its single-threaded run bitwise at
+// every thread count in threadsList.
 func CheckStrategyEquivalence(m *cbm.Matrix, b *dense.Matrix, threadsList []int) error {
 	want := dense.New(m.Rows(), b.Cols)
-	m.MulToStrategy(want, b, 1, cbm.StrategyBranch)
+	m.MulTo(want, b, 1)
 	got := dense.New(m.Rows(), b.Cols)
-	var csrWant *dense.Matrix
-	if m.HasCSRPlan() {
-		csrWant = dense.New(m.Rows(), b.Cols)
-		m.MulToStrategy(csrWant, b, 1, cbm.StrategyCSR)
-		if d := Compare(csrWant, want, Loose()); d != nil {
-			return fmt.Errorf("strategy equivalence (csr vs two-stage, threads=1): %w", d)
-		}
-	}
 	for _, threads := range threadsList {
-		m.MulToStrategy(got, b, threads, cbm.StrategyBranch)
+		m.MulTo(got, b, threads)
 		if !got.Equal(want) {
 			d := Compare(got, want, Tolerance{})
 			return fmt.Errorf("strategy equivalence (two-stage not thread-invariant, threads=%d): %w", threads, d)
-		}
-		if csrWant != nil {
-			m.MulToStrategy(got, b, threads, cbm.StrategyCSR)
-			if !got.Equal(csrWant) {
-				d := Compare(got, csrWant, Tolerance{})
-				return fmt.Errorf("strategy equivalence (csr not thread-deterministic, threads=%d): %w", threads, d)
-			}
-		}
-		plan := m.PlanFor(threads, b.Cols)
-		ref := want
-		if plan == cbm.StrategyCSR {
-			ref = csrWant
-		}
-		if ref == nil {
-			return fmt.Errorf("strategy equivalence: PlanFor picked %v but the CSR plan is unavailable", plan)
-		}
-		m.MulTo(got, b, threads)
-		if !got.Equal(ref) {
-			d := Compare(got, ref, Tolerance{})
-			return fmt.Errorf("strategy equivalence (auto MulTo vs %v plan, threads=%d): %w", plan, threads, d)
 		}
 	}
 	return nil
