@@ -92,9 +92,10 @@ go run ./cmd/cbmbench -exp bench -datasets cora -cols 16 -reps 3 -warmup 1 \
 go run ./cmd/cbmbench -check-bench BENCH_cbm.smoke.json
 rm -f BENCH_cbm.smoke.json
 
-echo "==> non-test Go lines outside perfbench (informational, tracked per change in ROADMAP.md)"
+echo "==> non-test Go lines outside perfbench and cmd flag count (informational, tracked per change in ROADMAP.md)"
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
-    cat $(git ls-files '*.go' | grep -v _test.go | grep -v '^perfbench/') | wc -l || true
+    echo "non-test Go lines: $(cat $(git ls-files '*.go' | grep -v _test.go | grep -v '^perfbench/') | wc -l)"
 fi
+echo "cmd flags: $(grep -rhoE 'flag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Var|Func)\(' cmd | wc -l)"
 
 echo "ci: OK"

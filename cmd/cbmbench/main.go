@@ -42,7 +42,6 @@ func main() {
 		benchOut     = flag.String("bench-out", "BENCH_cbm.json", "machine-readable report file for -exp bench")
 		checkBench   = flag.String("check-bench", "", "validate an existing bench report file and exit")
 		metrics      = flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
-		profile      = flag.Bool("stage-labels", false, "attach pprof cbm_stage goroutine labels to instrumented regions")
 	)
 	flag.Parse()
 
@@ -60,9 +59,6 @@ func main() {
 		}
 		outln("check-bench: " + *checkBench + " OK")
 		return
-	}
-	if *profile {
-		obs.EnableProfiling()
 	}
 	if *metrics {
 		defer dumpMetrics()

@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/obs"
 )
 
 // jsonDiagnostic is one -json report entry. The field set is the
@@ -50,7 +49,6 @@ func main() {
 		runList = flag.String("run", "", "comma-separated analyzer subset (default: all)")
 		list    = flag.Bool("list", false, "list analyzers and exit")
 		jsonOut = flag.Bool("json", false, "print diagnostics as a JSON array on stdout ([] when clean)")
-		metrics = flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
 	)
 	flag.Parse()
 
@@ -123,11 +121,6 @@ func main() {
 			outf("cbmlint: %d diagnostic(s)\n", len(report))
 		}
 		os.Exit(1)
-	}
-	if *metrics {
-		if err := obs.WriteJSON(os.Stderr); err != nil {
-			fatalf("metrics: %v", err)
-		}
 	}
 }
 

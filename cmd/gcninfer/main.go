@@ -20,20 +20,16 @@ import (
 
 func main() {
 	var (
-		dataset     = flag.String("dataset", "ca-hepph", "registered dataset analog (see cbmbench -list)")
-		alpha       = flag.Int("alpha", 4, "CBM edge-pruning threshold α")
-		threads     = flag.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
-		cols        = flag.Int("cols", 128, "feature/hidden/class width (paper: 500)")
-		reps        = flag.Int("reps", 5, "timing repetitions")
-		seed        = flag.Uint64("seed", 1, "generator seed")
-		train       = flag.Bool("train", false, "also run a short training loop on both backends")
-		metrics     = flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
-		stageLabels = flag.Bool("stage-labels", false, "tag pipeline stages with runtime/pprof labels (cbm_stage=...)")
+		dataset = flag.String("dataset", "ca-hepph", "registered dataset analog (see cbmbench -list)")
+		alpha   = flag.Int("alpha", 4, "CBM edge-pruning threshold α")
+		threads = flag.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
+		cols    = flag.Int("cols", 128, "feature/hidden/class width (paper: 500)")
+		reps    = flag.Int("reps", 5, "timing repetitions")
+		seed    = flag.Uint64("seed", 1, "generator seed")
+		train   = flag.Bool("train", false, "also run a short training loop on both backends")
+		metrics = flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
 	)
 	flag.Parse()
-	if *stageLabels {
-		obs.EnableProfiling()
-	}
 
 	d, err := bench.Get(*dataset)
 	if err != nil {

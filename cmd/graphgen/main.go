@@ -9,7 +9,6 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/synth"
 )
@@ -28,7 +27,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "generator seed")
 		out     = flag.String("o", "", "output file (default stdout)")
 		format  = flag.String("format", "edgelist", "output format: edgelist | mtx (MatrixMarket)")
-		metrics = flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
 	)
 	flag.Parse()
 
@@ -91,11 +89,6 @@ func main() {
 	}
 	_, _ = fmt.Fprintf(os.Stderr, "graphgen: %d nodes, %d directed entries (avg degree %.1f)\n",
 		a.Rows, a.NNZ(), float64(a.NNZ())/float64(a.Rows))
-	if *metrics {
-		if err := obs.WriteJSON(os.Stderr); err != nil {
-			fatal(err)
-		}
-	}
 }
 
 func fatal(err error) {

@@ -11,7 +11,7 @@ import (
 	"log"
 
 	"repro/internal/bench"
-	"repro/internal/core"
+	"repro/internal/cbm"
 	"repro/internal/costmodel"
 	"repro/internal/dense"
 	"repro/internal/kernels"
@@ -28,7 +28,7 @@ func main() {
 	}, 0.5, 3)
 	fmt.Printf("graph: %d nodes, %d edges\n", a.Rows, a.NNZ()/2)
 
-	builder, err := core.NewBuilder(a, core.Options{})
+	builder, err := cbm.NewBuilder(a, cbm.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

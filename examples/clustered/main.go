@@ -13,7 +13,7 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/cbm"
 	"repro/internal/dense"
 	"repro/internal/kernels"
 	"repro/internal/synth"
@@ -31,7 +31,7 @@ func main() {
 
 	// Exact compression.
 	start := time.Now()
-	exact, exactStats, err := core.Compress(a, core.Options{Alpha: 0})
+	exact, exactStats, err := cbm.Compress(a, cbm.Options{Alpha: 0})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func main() {
 	// Clustered compression at increasing cluster purity.
 	for _, hashes := range []int{1, 2, 4} {
 		start = time.Now()
-		m, _, cstats, err := core.CompressClustered(a,
-			core.Options{Alpha: 0}, core.ClusterOptions{Hashes: hashes, Seed: 1})
+		m, _, cstats, err := cbm.CompressClustered(a,
+			cbm.Options{Alpha: 0}, cbm.ClusterOptions{Hashes: hashes, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func main() {
 	}
 
 	// The clustered result is a perfectly ordinary CBM matrix.
-	m, _, _, err := core.CompressClustered(a, core.Options{Alpha: 0}, core.ClusterOptions{Seed: 1})
+	m, _, _, err := cbm.CompressClustered(a, cbm.Options{Alpha: 0}, cbm.ClusterOptions{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

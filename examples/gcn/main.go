@@ -11,7 +11,7 @@ import (
 	"log"
 
 	"repro/internal/bench"
-	"repro/internal/core"
+	"repro/internal/cbm"
 	"repro/internal/dense"
 	"repro/internal/gnn"
 	"repro/internal/synth"
@@ -27,11 +27,11 @@ func main() {
 	fmt.Printf("graph: %d nodes, %d edges, avg degree %.1f\n",
 		a.Rows, a.NNZ()/2, float64(a.NNZ())/float64(a.Rows))
 
-	csrBackend, err := core.NewCSRBackend(a)
+	csrBackend, err := gnn.NewCSRBackend(a)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cbmBackend, stats, err := core.NewCBMBackend(a, core.Options{Alpha: 16})
+	cbmBackend, stats, err := gnn.NewCBMBackend(a, cbm.Options{Alpha: 16})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/cbm"
-	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/gnn"
 	"repro/internal/graph"
@@ -68,7 +67,7 @@ func main() {
 	cc := graph.AverageClusteringCoefficient(batched, 0)
 	fmt.Printf("batched clustering coefficient: %.2f\n", cc)
 
-	run := func(name string, backend core.Adjacency) {
+	run := func(name string, backend gnn.Adjacency) {
 		enc := gnn.NewGCN2(feats, hidden, hidden, 11)
 		head := gnn.NewLinear(hidden, 2, true, xrand.New(12))
 		opt := gnn.NewAdam(0.1)
@@ -93,11 +92,11 @@ func main() {
 			name, elapsed.Round(time.Millisecond), loss, gnn.Accuracy(logits, labels, nil))
 	}
 
-	csrBackend, err := core.NewCSRBackend(batched)
+	csrBackend, err := gnn.NewCSRBackend(batched)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cbmBackend, stats, err := core.NewCBMBackend(batched, cbm.Options{Alpha: 8})
+	cbmBackend, stats, err := gnn.NewCBMBackend(batched, cbm.Options{Alpha: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

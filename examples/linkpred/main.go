@@ -16,8 +16,9 @@ import (
 	"time"
 
 	"repro/internal/blas"
-	"repro/internal/core"
+	"repro/internal/cbm"
 	"repro/internal/dense"
+	"repro/internal/exec"
 	"repro/internal/gnn"
 	"repro/internal/sparse"
 	"repro/internal/synth"
@@ -43,7 +44,7 @@ func main() {
 	x := dense.New(nodes, feats)
 	rng.FillUniform(x.Data)
 
-	run := func(name string, backend core.Adjacency) {
+	run := func(name string, backend gnn.Adjacency) {
 		enc := gnn.NewGCN2(feats, embed, embed, 17)
 		opt := gnn.NewAdam(lr)
 		start := time.Now()
@@ -55,11 +56,11 @@ func main() {
 		fmt.Printf("%-4s  %7v   AUC %.3f\n", name, elapsed.Round(time.Millisecond), auc(z, testPos, testNeg))
 	}
 
-	csrBackend, err := core.NewCSRBackend(train)
+	csrBackend, err := gnn.NewCSRBackend(train)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cbmBackend, stats, err := core.NewCBMBackend(train, core.Options{Alpha: 8})
+	cbmBackend, stats, err := gnn.NewCBMBackend(train, cbm.Options{Alpha: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func main() {
 // the trainable output of the last GCN layer (gradient flows through
 // the second Â product only — enough to exercise the backend while
 // keeping the example compact).
-func trainEpoch(enc *gnn.GCN2, backend core.Adjacency, x *dense.Matrix,
+func trainEpoch(enc *gnn.GCN2, backend gnn.Adjacency, x *dense.Matrix,
 	pos, neg [][2]int32, opt *gnn.Adam, rng *xrand.RNG) {
 	z := enc.Infer(backend, x, 0)
 	grad := dense.New(z.Rows, z.Cols)
@@ -85,7 +86,7 @@ func trainEpoch(enc *gnn.GCN2, backend core.Adjacency, x *dense.Matrix,
 	// layer: dW1 = H1ᵀ·(Â·dZ), with H1 recomputed.
 	h1 := enc.L0.Forward(backend, x, 0).ReLU()
 	dz := dense.New(z.Rows, z.Cols)
-	backend.MulTo(dz, grad, 0)
+	backend.MulToCtx(exec.New(0), dz, grad)
 	dw1 := dense.MulParallel(h1.Transpose(), dz, 0)
 	opt.BeginStep()
 	opt.Step(enc.L1.Lin.W, dw1)

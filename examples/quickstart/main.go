@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro/internal/cbm"
-	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/kernels"
 	"repro/internal/sparse"
@@ -34,7 +33,7 @@ func main() {
 	a := sparse.FromAdjacency(8, 8, adj)
 	fmt.Printf("input: %d×%d binary matrix, nnz = %d\n", a.Rows, a.Cols, a.NNZ())
 
-	m, stats, err := core.Compress(a, core.Options{Alpha: 0})
+	m, stats, err := cbm.Compress(a, cbm.Options{Alpha: 0})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/cbm"
 	"repro/internal/dense"
 	"repro/internal/gnn"
 	"repro/internal/synth"
@@ -49,7 +49,7 @@ func main() {
 
 	cfg := gnn.TrainConfig{LR: 0.4, Epochs: 30, Threads: 0}
 
-	run := func(name string, backend core.Adjacency) {
+	run := func(name string, backend gnn.Adjacency) {
 		model := gnn.NewGCN2(feats, 32, classes, 17) // same seed → same init
 		start := time.Now()
 		res := model.Train(backend, x, labels, mask, cfg)
@@ -66,11 +66,11 @@ func main() {
 			gnn.Accuracy(z, labels, eval))
 	}
 
-	csrBackend, err := core.NewCSRBackend(a)
+	csrBackend, err := gnn.NewCSRBackend(a)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cbmBackend, stats, err := core.NewCBMBackend(a, core.Options{Alpha: 8})
+	cbmBackend, stats, err := gnn.NewCBMBackend(a, cbm.Options{Alpha: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,12 +37,12 @@ func bitwiseVec(rng *xrand.RNG, n int, special bool) []float32 {
 	return v
 }
 
-// TestBlasBitwisePortable checks that Axpy, Add, AxpbyTo and Scal (the
-// AVX bodies where the CPU has them) are bitwise equal to their
-// portable loops, for lengths around the 8-lane block and the
-// four-block unroll, scalars that are zero, signed zero, ±1, non-finite
-// or ordinary, vectors holding the same, and AxpbyTo with dst aliasing
-// x or y. Without AVX it compares the portable loops with themselves.
+// TestBlasBitwisePortable checks that Axpy, Add and Scal (the AVX
+// bodies where the CPU has them) are bitwise equal to their portable
+// loops, for lengths around the 8-lane block and the four-block
+// unroll, scalars that are zero, signed zero, ±1, non-finite or
+// ordinary, and vectors holding the same. Without AVX it compares the
+// portable loops with themselves.
 func TestBlasBitwisePortable(t *testing.T) {
 	t.Logf("AVX kernels in use: %v", useAVX)
 	var lengths []int
@@ -85,19 +85,6 @@ func TestBlasBitwisePortable(t *testing.T) {
 				Scal(a, got)
 				scalPortable(a, want)
 				check("Scal", n, got, want)
-
-				b := scalars[rng.Intn(len(scalars))]
-				want = make([]float32, n)
-				axpbyPortable(want, a, x, b, y)
-				got = make([]float32, n)
-				AxpbyTo(got, a, x, b, y)
-				check("AxpbyTo", n, got, want)
-				got = clone(x)
-				AxpbyTo(got, a, got, b, y)
-				check("AxpbyTo(dst=x)", n, got, want)
-				got = clone(y)
-				AxpbyTo(got, a, x, b, got)
-				check("AxpbyTo(dst=y)", n, got, want)
 			}
 		}
 	}
@@ -111,7 +98,6 @@ func TestBlasZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() {
 		Add(x, y)
 		Axpy(0.5, x, y)
-		AxpbyTo(y, 0.5, x, 0.25, y)
 		Scal(0.5, y)
 	}); allocs != 0 {
 		t.Fatalf("blas kernels allocate %v times per call, want 0", allocs)

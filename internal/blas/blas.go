@@ -2,7 +2,7 @@
 // kernels the CBM multiplication pipeline is built from. They stand in
 // for the Intel MKL routines (axpy and friends) the paper uses.
 //
-// Axpy, Add, AxpbyTo and Scal run their full 8-element blocks through
+// Axpy, Add and Scal run their full 8-element blocks through
 // AVX assembly where the CPU and OS support it (HasAVX, fixed at init)
 // and the remainder through the portable Go loops, which are also the
 // whole implementation off amd64. The Go compiler does not vectorize,
@@ -120,59 +120,6 @@ func addPortable(x, y []float32) {
 	}
 }
 
-// AxpbyTo computes dst[i] = a*x[i] + b*y[i]. dst may alias x or y.
-// It is the fused kernel of the DADX update stage
-// (dst = d_x*(parent/d_p) + d_x*child, Eq. 6 of the paper).
-//
-//cbm:hotpath
-func AxpbyTo(dst []float32, a float32, x []float32, b float32, y []float32) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic(fmt.Sprintf("blas: AxpbyTo length mismatch: len(dst)=%d len(x)=%d len(y)=%d", len(dst), len(x), len(y)))
-	}
-	i := 0
-	if n := len(x) &^ 7; useAVX && n > 0 {
-		axpbyAVX(&dst[0], a, &x[0], b, &y[0], n/8)
-		if n == len(x) {
-			return
-		}
-		i = n
-	}
-	axpbyPortable(dst[i:], a, x[i:], b, y[i:])
-}
-
-// axpbyPortable is the portable body of AxpbyTo, for equal lengths.
-//
-//cbm:hotpath
-func axpbyPortable(dst []float32, a float32, x []float32, b float32, y []float32) {
-	i := 0
-	for ; i+8 <= len(x); i += 8 {
-		xs := x[i : i+8 : i+8]
-		ys := y[i : i+8 : i+8]
-		ds := dst[i : i+8 : i+8]
-		ds[0] = a*xs[0] + b*ys[0]
-		ds[1] = a*xs[1] + b*ys[1]
-		ds[2] = a*xs[2] + b*ys[2]
-		ds[3] = a*xs[3] + b*ys[3]
-		ds[4] = a*xs[4] + b*ys[4]
-		ds[5] = a*xs[5] + b*ys[5]
-		ds[6] = a*xs[6] + b*ys[6]
-		ds[7] = a*xs[7] + b*ys[7]
-	}
-	if i+4 <= len(x) {
-		xs := x[i : i+4 : i+4]
-		ys := y[i : i+4 : i+4]
-		ds := dst[i : i+4 : i+4]
-		ds[0] = a*xs[0] + b*ys[0]
-		ds[1] = a*xs[1] + b*ys[1]
-		ds[2] = a*xs[2] + b*ys[2]
-		ds[3] = a*xs[3] + b*ys[3]
-		i += 4
-	}
-	for ; i < len(x); i++ {
-		dst[i] = a*x[i] + b*y[i]
-	}
-}
-
 // Scal computes x[i] *= a.
 //
 //cbm:hotpath
@@ -239,31 +186,6 @@ func Dot(x, y []float32) float32 {
 		s0 += x[i] * y[i]
 	}
 	return (s0 + s1) + (s2 + s3)
-}
-
-// Asum returns the sum of absolute values of x.
-//
-//cbm:hotpath
-func Asum(x []float32) float32 {
-	var s float32
-	for _, v := range x {
-		if v < 0 {
-			s -= v
-		} else {
-			s += v
-		}
-	}
-	return s
-}
-
-// Copy copies x into y.
-//
-//cbm:hotpath
-func Copy(x, y []float32) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("blas: Copy length mismatch: len(x)=%d len(y)=%d", len(x), len(y)))
-	}
-	copy(y, x)
 }
 
 // Fill sets every element of x to v.

@@ -30,7 +30,7 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv() (eax, edx uint32)
 
-// The AVX bodies of Axpy, Add, AxpbyTo and Scal over the first
+// The AVX bodies of Axpy, Add and Scal over the first
 // blocks·8 elements, implemented in blas_amd64.s. The exported
 // functions call them for the longest multiple-of-8 prefix and finish
 // the rest with the portable loop.
@@ -40,9 +40,6 @@ func axpyAVX(a float32, x, y *float32, blocks int)
 
 //go:noescape
 func addAVX(x, y *float32, blocks int)
-
-//go:noescape
-func axpbyAVX(dst *float32, a float32, x *float32, b float32, y *float32, blocks int)
 
 //go:noescape
 func scalAVX(a float32, x *float32, blocks int)

@@ -1,11 +1,10 @@
 #include "textflag.h"
 
-// AVX bodies of Axpy, Add, AxpbyTo and Scal over blocks·8 elements:
-// four 8-lane blocks per iteration, then one at a time. Each lane does
+// AVX bodies of Axpy, Add and Scal over blocks·8 elements: four
+// 8-lane blocks per iteration, then one at a time. Each lane does
 // exactly what the portable loop does to that element — the same
 // products and sums, each rounded on its own (VMULPS then VADDPS, no
-// FMA) — so the results are bitwise identical. Every block is loaded
-// before it is stored, so AxpbyTo's dst may alias x or y.
+// FMA) — so the results are bitwise identical.
 
 // func axpyAVX(a float32, x, y *float32, blocks int)
 // y[i] = a·x[i] + y[i]
@@ -89,58 +88,6 @@ addOne:
 	JMP     addOne
 
 addDone:
-	VZEROUPPER
-	RET
-
-// func axpbyAVX(dst *float32, a float32, x *float32, b float32, y *float32, blocks int)
-// dst[i] = a·x[i] + b·y[i]
-TEXT ·axpbyAVX(SB), NOSPLIT, $0-48
-	MOVQ         dst+0(FP), DI
-	VBROADCASTSS a+8(FP), Y0
-	MOVQ         x+16(FP), SI
-	VBROADCASTSS b+24(FP), Y1
-	MOVQ         y+32(FP), DX
-	MOVQ         blocks+40(FP), CX
-
-axpbyQuad:
-	CMPQ    CX, $4
-	JLT     axpbyOne
-	VMULPS  (SI), Y0, Y2
-	VMULPS  32(SI), Y0, Y3
-	VMULPS  64(SI), Y0, Y4
-	VMULPS  96(SI), Y0, Y5
-	VMULPS  (DX), Y1, Y6
-	VMULPS  32(DX), Y1, Y7
-	VMULPS  64(DX), Y1, Y8
-	VMULPS  96(DX), Y1, Y9
-	VADDPS  Y6, Y2, Y2
-	VADDPS  Y7, Y3, Y3
-	VADDPS  Y8, Y4, Y4
-	VADDPS  Y9, Y5, Y5
-	VMOVUPS Y2, (DI)
-	VMOVUPS Y3, 32(DI)
-	VMOVUPS Y4, 64(DI)
-	VMOVUPS Y5, 96(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DX
-	ADDQ    $128, DI
-	SUBQ    $4, CX
-	JMP     axpbyQuad
-
-axpbyOne:
-	TESTQ   CX, CX
-	JZ      axpbyDone
-	VMULPS  (SI), Y0, Y2
-	VMULPS  (DX), Y1, Y6
-	VADDPS  Y6, Y2, Y2
-	VMOVUPS Y2, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	DECQ    CX
-	JMP     axpbyOne
-
-axpbyDone:
 	VZEROUPPER
 	RET
 

@@ -16,8 +16,4 @@ func axpyAVX(a float32, x, y *float32, blocks int) { panic("blas: no AVX kernels
 
 func addAVX(x, y *float32, blocks int) { panic("blas: no AVX kernels off amd64") }
 
-func axpbyAVX(dst *float32, a float32, x *float32, b float32, y *float32, blocks int) {
-	panic("blas: no AVX kernels off amd64")
-}
-
 func scalAVX(a float32, x *float32, blocks int) { panic("blas: no AVX kernels off amd64") }

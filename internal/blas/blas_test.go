@@ -79,42 +79,6 @@ func TestAddMatchesAxpyOne(t *testing.T) {
 	}
 }
 
-func TestAxpbyTo(t *testing.T) {
-	rng := xrand.New(4)
-	for _, n := range []int{1, 7, 8, 9, 40} {
-		x := randVec(rng, n)
-		y := randVec(rng, n)
-		dst := make([]float32, n)
-		a, b := float32(0.5), float32(-2.25)
-		AxpbyTo(dst, a, x, b, y)
-		for i := range dst {
-			want := a*x[i] + b*y[i]
-			if dst[i] != want {
-				t.Fatalf("n=%d: AxpbyTo[%d] = %v, want %v", n, i, dst[i], want)
-			}
-		}
-	}
-}
-
-func TestAxpbyToAliasY(t *testing.T) {
-	// The DAD update stage calls AxpbyTo with dst aliasing y.
-	rng := xrand.New(5)
-	n := 37
-	x := randVec(rng, n)
-	y := randVec(rng, n)
-	want := make([]float32, n)
-	a, b := float32(1.25), float32(0.75)
-	for i := range want {
-		want[i] = a*x[i] + b*y[i]
-	}
-	AxpbyTo(y, a, x, b, y)
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatalf("aliased AxpbyTo[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-}
-
 func TestScal(t *testing.T) {
 	rng := xrand.New(6)
 	for _, n := range []int{0, 1, 8, 9, 31} {
@@ -148,29 +112,12 @@ func TestDot(t *testing.T) {
 	}
 }
 
-func TestAsum(t *testing.T) {
-	x := []float32{-1, 2, -3, 4}
-	if got := Asum(x); got != 10 {
-		t.Fatalf("Asum = %v, want 10", got)
-	}
-	if got := Asum(nil); got != 0 {
-		t.Fatalf("Asum(nil) = %v, want 0", got)
-	}
-}
-
-func TestFillAndCopy(t *testing.T) {
+func TestFill(t *testing.T) {
 	x := make([]float32, 17)
 	Fill(x, 2.5)
 	for i, v := range x {
 		if v != 2.5 {
 			t.Fatalf("Fill[%d] = %v", i, v)
-		}
-	}
-	y := make([]float32, 17)
-	Copy(x, y)
-	for i := range y {
-		if y[i] != 2.5 {
-			t.Fatalf("Copy[%d] = %v", i, y[i])
 		}
 	}
 }
@@ -222,7 +169,7 @@ func TestDotSymmetryProperty(t *testing.T) {
 // to the plain scalar loop.
 func TestUnrollTailsBitwiseMatchScalar(t *testing.T) {
 	rng := xrand.New(97)
-	const a, b = 1.37, -0.61
+	const a = 1.37
 	for n := 0; n <= 24; n++ {
 		x := randVec(rng, n)
 		y := randVec(rng, n)
@@ -241,13 +188,6 @@ func TestUnrollTailsBitwiseMatchScalar(t *testing.T) {
 		gotAdd := append([]float32(nil), y...)
 		Add(x, gotAdd)
 
-		wantAxpby := make([]float32, n)
-		for i := range wantAxpby {
-			wantAxpby[i] = a*x[i] + b*y[i]
-		}
-		gotAxpby := make([]float32, n)
-		AxpbyTo(gotAxpby, a, x, b, y)
-
 		wantScal := append([]float32(nil), x...)
 		for i := range wantScal {
 			wantScal[i] *= a
@@ -261,9 +201,6 @@ func TestUnrollTailsBitwiseMatchScalar(t *testing.T) {
 			}
 			if math.Float32bits(gotAdd[i]) != math.Float32bits(wantAdd[i]) {
 				t.Fatalf("n=%d Add[%d]: %v != %v", n, i, gotAdd[i], wantAdd[i])
-			}
-			if math.Float32bits(gotAxpby[i]) != math.Float32bits(wantAxpby[i]) {
-				t.Fatalf("n=%d AxpbyTo[%d]: %v != %v", n, i, gotAxpby[i], wantAxpby[i])
 			}
 			if math.Float32bits(gotScal[i]) != math.Float32bits(wantScal[i]) {
 				t.Fatalf("n=%d Scal[%d]: %v != %v", n, i, gotScal[i], wantScal[i])

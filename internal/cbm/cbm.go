@@ -477,18 +477,3 @@ func (m *Matrix) ToCSR() *sparse.CSR {
 		panic("cbm: ToCSR on scaled kinds is not supported; decompress the KindA base instead")
 	}
 }
-
-// Describe returns a one-line human-readable summary of the matrix —
-// used by the CLI tools' diagnostics.
-func (m *Matrix) Describe() string {
-	real, virtual := 0, 0
-	for _, p := range m.parent {
-		if p >= 0 {
-			real++
-		} else {
-			virtual++
-		}
-	}
-	return fmt.Sprintf("cbm.Matrix{kind=%s n=%d deltas=%d treeEdges=%d rootChildren=%d branches=%d bytes=%d}",
-		m.kind, m.n, m.delta.NNZ(), real, virtual, m.NumBranches(), m.FootprintBytes())
-}

@@ -110,27 +110,21 @@ func (m *Matrix) mulTwoStage(c, b *dense.Matrix, threads int, sink obs.Sink) {
 	nb := m.multiRowBranches()
 	off := m.branchOff[:nb+1]
 	rows := int(off[nb])
-	// Closure-free sequential fast path: the obs.DoWith closure
-	// allocates at this call site even when the update then runs
-	// inline, which the zero-allocation serving path cannot afford. The
-	// branches are stored back to back, so one kernel call updates them
-	// all.
+	sp := sink.Begin(obs.StageUpdate)
 	if parallel.Sequential(threads, nb) {
-		sp := sink.Begin(obs.StageUpdate)
+		// The branches are stored back to back, so one kernel call
+		// updates them all.
 		kernels.TreeUpdate(c, m.order[:rows], m.parent, diag)
-		sp.End()
-		return
-	}
-	// Blocks of whole branches, about grain rows each, the SpMM's row
-	// grain: block k is the branches whose first row sits in
-	// m.order[k·grain : (k+1)·grain], so a branch longer than grain is
-	// a block on its own (the blocks inside it are empty) and short
-	// branches share one kernel call.
-	grain := rows / (8 * parallel.EffectiveThreads(threads, nb))
-	if grain < 16 {
-		grain = 16
-	}
-	obs.DoWith(sink, obs.StageUpdate, func() {
+	} else {
+		// Blocks of whole branches, about grain rows each, the SpMM's
+		// row grain: block k is the branches whose first row sits in
+		// m.order[k·grain : (k+1)·grain], so a branch longer than grain
+		// is a block on its own (the blocks inside it are empty) and
+		// short branches share one kernel call.
+		grain := rows / (8 * parallel.EffectiveThreads(threads, nb))
+		if grain < 16 {
+			grain = 16
+		}
 		parallel.ForDynamic((rows+grain-1)/grain, threads, 1, func(k int) {
 			lo, _ := slices.BinarySearch(off, int32(k*grain))
 			hi, _ := slices.BinarySearch(off, int32(min((k+1)*grain, rows)))
@@ -138,7 +132,8 @@ func (m *Matrix) mulTwoStage(c, b *dense.Matrix, threads int, sink obs.Sink) {
 				kernels.TreeUpdate(c, m.order[off[lo]:off[hi]], m.parent, diag)
 			}
 		})
-	})
+	}
+	sp.End()
 }
 
 // multiRowBranches returns how many branches hold more than one row:

@@ -1,7 +1,6 @@
 package cbm
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -364,22 +363,4 @@ func TestMulVecParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestDescribe(t *testing.T) {
-	a := paperFig1Matrix()
-	m, _, err := Compress(a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := m.Describe()
-	for _, want := range []string{"kind=A", "n=6", "deltas="} {
-		if !contains(s, want) {
-			t.Fatalf("Describe() = %q missing %q", s, want)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && strings.Contains(s, sub)
 }

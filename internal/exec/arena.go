@@ -49,7 +49,7 @@ type entry struct {
 // The zero Arena is ready to use (and reports to no sink); contexts
 // built by New/NewWithSink attach their sink.
 type Arena struct {
-	sink Sink
+	sink obs.Sink
 	free [numClasses][]*entry
 	lent []*entry
 	// lentElems is the summed reserved capacity (float32 elements, full

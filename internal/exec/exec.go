@@ -25,30 +25,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Sink receives the observability events the forward path emits. The
-// interface (and its ObsSink/NopSink implementations) lives in
-// internal/obs so measurement code can scope attribution with an
-// obs.Recorder without importing this package; the aliases below keep
-// the exec-level names every Ctx constructor uses. The default ObsSink
-// forwards to the process-global internal/obs state; NopSink silences
-// a context (e.g. a latency-critical serving path that wants no
-// shared-cacheline traffic at all).
-type Sink = obs.Sink
-
-// ObsSink forwards every event to the package-global internal/obs
-// accumulators — the default, matching the non-ctx entry points.
-type ObsSink = obs.ObsSink
-
-// NopSink drops every event.
-type NopSink = obs.NopSink
-
 // Ctx is one execution context: the thread budget a request may use,
 // the sink its instrumentation reports to, and the arena its scratch
 // matrices come from. A Ctx is not safe for concurrent use — it is
 // the unit of isolation, one per in-flight request.
 type Ctx struct {
 	threads int
-	sink    Sink
+	sink    obs.Sink
 	arena   Arena
 }
 
@@ -56,14 +39,14 @@ type Ctx struct {
 // "library default", exactly like the bare threads parameters it
 // replaces) reporting to the global obs state.
 func New(threads int) *Ctx {
-	return NewWithSink(threads, ObsSink{})
+	return NewWithSink(threads, obs.ObsSink{})
 }
 
 // NewWithSink returns a context reporting to the given sink
-// (nil = NopSink).
-func NewWithSink(threads int, s Sink) *Ctx {
+// (nil = obs.NopSink).
+func NewWithSink(threads int, s obs.Sink) *Ctx {
 	if s == nil {
-		s = NopSink{}
+		s = obs.NopSink{}
 	}
 	c := &Ctx{threads: threads, sink: s}
 	c.arena.sink = s
@@ -80,7 +63,7 @@ func (c *Ctx) Threads() int { return c.threads }
 // spans scoped the same way the context is.
 //
 //cbm:hotpath
-func (c *Ctx) Sink() Sink { return c.sink }
+func (c *Ctx) Sink() obs.Sink { return c.sink }
 
 // Begin starts timing one occurrence of stage s on the context's sink.
 //

@@ -117,7 +117,7 @@ func TestArenaNegativeShapePanics(t *testing.T) {
 // exists for: once a size class is warm, borrow/release cycles touch
 // only the local free list and allocate nothing.
 func TestArenaSteadyStateZeroAlloc(t *testing.T) {
-	ctx := NewWithSink(1, NopSink{})
+	ctx := NewWithSink(1, obs.NopSink{})
 	// Warm the classes and the lent list.
 	warm := func() {
 		x := ctx.Borrow(8, 16)

@@ -22,10 +22,8 @@ import (
 type Adjacency interface {
 	// Rows returns n.
 	Rows() int
-	// MulTo computes c = Â·b with the given thread count.
-	MulTo(c, b *dense.Matrix, threads int)
-	// MulToCtx computes c = Â·b with the context's thread budget — the
-	// entry point of the pooled (ForwardTo) forward path.
+	// MulToCtx computes c = Â·b with the context's thread budget,
+	// reporting its stages to the context's sink.
 	MulToCtx(ctx *exec.Ctx, c, b *dense.Matrix)
 	// FootprintBytes reports the memory the representation occupies.
 	FootprintBytes() int64
@@ -40,16 +38,11 @@ type CSRAdjacency struct {
 // Rows returns the node count.
 func (a *CSRAdjacency) Rows() int { return a.M.Rows }
 
-// MulTo computes c = Â·b via CSR SpMM.
-func (a *CSRAdjacency) MulTo(c, b *dense.Matrix, threads int) {
-	kernels.SpMMTo(c, a.M, b, threads)
-}
-
 // MulToCtx computes c = Â·b via CSR SpMM with the context's threads.
 //
 //cbm:hotpath
 func (a *CSRAdjacency) MulToCtx(ctx *exec.Ctx, c, b *dense.Matrix) {
-	kernels.SpMMTo(c, a.M, b, ctx.Threads())
+	kernels.SpMMDiagTo(c, a.M, b, nil, nil, ctx.Threads(), ctx.Sink())
 }
 
 // FootprintBytes reports the CSR memory footprint.
@@ -62,11 +55,6 @@ type CBMAdjacency struct {
 
 // Rows returns the node count.
 func (a *CBMAdjacency) Rows() int { return a.M.Rows() }
-
-// MulTo computes c = Â·b via the CBM two-stage kernel.
-func (a *CBMAdjacency) MulTo(c, b *dense.Matrix, threads int) {
-	a.M.MulTo(c, b, threads)
-}
 
 // MulToCtx computes c = Â·b via the CBM kernel with the context's
 // threads.

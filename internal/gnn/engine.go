@@ -100,9 +100,6 @@ func NewEngine(model Model, adj Adjacency, cfg EngineConfig) *Engine {
 	return e
 }
 
-// Slots returns the configured max-in-flight request count.
-func (e *Engine) Slots() int { return cap(e.ctxs) }
-
 // Rows returns the node count of the adjacency the engine serves.
 func (e *Engine) Rows() int { return e.adj.Rows() }
 

@@ -102,16 +102,16 @@ func TestEngineInferMatchesInferTo(t *testing.T) {
 	if !bitwiseEqual(z, model.Infer(csr, x, 1)) {
 		t.Fatal("Engine.Infer differs from Model.Infer")
 	}
-	if e.Rows() != csr.Rows() || e.OutDim() != 3 || e.Slots() != 1 {
-		t.Fatalf("engine accessors: rows=%d out=%d slots=%d", e.Rows(), e.OutDim(), e.Slots())
+	if e.Rows() != csr.Rows() || e.OutDim() != 3 || cap(e.ctxs) != 1 {
+		t.Fatalf("engine accessors: rows=%d out=%d slots=%d", e.Rows(), e.OutDim(), cap(e.ctxs))
 	}
 }
 
 func TestEngineDefaultSlots(t *testing.T) {
 	csr, _ := testBackends(t, 72, 60)
 	e := NewEngine(NewGCN2(4, 4, 2, 73), csr, EngineConfig{})
-	if e.Slots() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("default slots = %d, want GOMAXPROCS = %d", e.Slots(), runtime.GOMAXPROCS(0))
+	if cap(e.ctxs) != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default slots = %d, want GOMAXPROCS = %d", cap(e.ctxs), runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -190,8 +190,8 @@ func TestEngineShapeCheckUnderLeaseKeepsSlots(t *testing.T) {
 		bad(func() { e.InferTo(dense.New(n, 2), dense.New(n, 9)) })
 		bad(func() { e.InferTo(dense.New(n, 9), dense.New(n, 5)) })
 	}
-	if got := len(e.ctxs); got != e.Slots() {
-		t.Fatalf("panic storm left %d of %d slots in the pool", got, e.Slots())
+	if got := len(e.ctxs); got != cap(e.ctxs) {
+		t.Fatalf("panic storm left %d of %d slots in the pool", got, cap(e.ctxs))
 	}
 	// And the survivors still serve.
 	x := dense.New(n, 5)

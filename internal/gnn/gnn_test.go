@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/cbm"
 	"repro/internal/dense"
+	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/xrand"
 )
@@ -36,10 +38,33 @@ func TestBackendsAgreeOnRawProduct(t *testing.T) {
 	b := randomFeatures(rng, csr.Rows(), 16)
 	c1 := dense.New(csr.Rows(), 16)
 	c2 := dense.New(csr.Rows(), 16)
-	csr.MulTo(c1, b, 2)
-	cbmB.MulTo(c2, b, 2)
+	ctx := exec.New(2)
+	csr.MulToCtx(ctx, c1, b)
+	cbmB.MulToCtx(ctx, c2, b)
 	if d := dense.MaxRelDiff(c1, c2, 1); d > 1e-4 {
 		t.Fatalf("backends disagree: rel diff %v", d)
+	}
+}
+
+// The CSR backend's spmm stage must reach the context's sink, as the
+// CBM backend's stages do, so a recorder scoped to a context sees the
+// aggregation of either backend.
+func TestCSRMulToCtxReportsToCtxSink(t *testing.T) {
+	csr, _ := testBackends(t, 5, 120)
+	b := randomFeatures(xrand.New(6), csr.Rows(), 8)
+	c := dense.New(csr.Rows(), 8)
+	for _, threads := range []int{1, 2} {
+		rec := obs.NewRecorder()
+		ctx := exec.NewWithSink(threads, rec)
+		for call := int64(1); call <= 3; call++ {
+			csr.MulToCtx(ctx, c, b)
+			if n, _ := rec.StageTotals(obs.StageSpMM); n != call {
+				t.Fatalf("threads=%d call %d: recorder saw %d spmm spans, want %d", threads, call, n, call)
+			}
+			if n := rec.CounterValue(obs.CounterSpMMCalls); n != call {
+				t.Fatalf("threads=%d call %d: recorder saw %d spmm calls, want %d", threads, call, n, call)
+			}
+		}
 	}
 }
 

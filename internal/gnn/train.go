@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dense"
+	"repro/internal/exec"
 )
 
 // Training for the two-layer GCN — the paper's stated future-work
@@ -110,17 +111,20 @@ func Accuracy(z *dense.Matrix, labels []int, mask []bool) float64 {
 func (g *GCN2) Train(a Adjacency, x *dense.Matrix, labels []int, mask []bool, cfg TrainConfig) TrainResult {
 	n := a.Rows()
 	threads := cfg.Threads
+	ctx := exec.New(threads)
 	res := TrainResult{Losses: make([]float64, 0, cfg.Epochs)}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Forward, keeping intermediates for backprop.
-		p0 := g.L0.Lin.Forward(x, threads) // X·W0
+		p0 := dense.New(n, g.L0.Lin.Out)
+		g.L0.Lin.ForwardTo(ctx, p0, x) // X·W0
 		s0 := dense.New(n, p0.Cols)
-		a.MulTo(s0, p0, threads) // Â·X·W0
+		a.MulToCtx(ctx, s0, p0) // Â·X·W0
 		h1 := s0.Clone().ReLU()
-		p1 := g.L1.Lin.Forward(h1, threads) // H1·W1
+		p1 := dense.New(n, g.L1.Lin.Out)
+		g.L1.Lin.ForwardTo(ctx, p1, h1) // H1·W1
 		z := dense.New(n, p1.Cols)
-		a.MulTo(z, p1, threads) // Â·H1·W1
+		a.MulToCtx(ctx, z, p1) // Â·H1·W1
 
 		dz := dense.New(n, z.Cols)
 		loss := SoftmaxCrossEntropy(z, labels, mask, dz)
@@ -128,7 +132,7 @@ func (g *GCN2) Train(a Adjacency, x *dense.Matrix, labels []int, mask []bool, cf
 
 		// Backward.
 		dp1 := dense.New(n, dz.Cols)
-		a.MulTo(dp1, dz, threads)                              // Âᵀ·dZ = Â·dZ
+		a.MulToCtx(ctx, dp1, dz)                               // Âᵀ·dZ = Â·dZ
 		dw1 := dense.MulParallel(h1.Transpose(), dp1, threads) // H1ᵀ·dP1
 		dh1 := dense.MulParallel(dp1, g.L1.Lin.W.Transpose(), threads)
 		// ReLU gate: dS0 = dH1 ⊙ 1[S0 > 0]
@@ -138,7 +142,7 @@ func (g *GCN2) Train(a Adjacency, x *dense.Matrix, labels []int, mask []bool, cf
 			}
 		}
 		dp0 := dense.New(n, dh1.Cols)
-		a.MulTo(dp0, dh1, threads) // Â·dS0
+		a.MulToCtx(ctx, dp0, dh1) // Â·dS0
 		dw0 := dense.MulParallel(x.Transpose(), dp0, threads)
 
 		// SGD step.
@@ -146,7 +150,8 @@ func (g *GCN2) Train(a Adjacency, x *dense.Matrix, labels []int, mask []bool, cf
 		applySGD(g.L0.Lin.W, dw0, cfg.LR)
 	}
 
-	z := g.Infer(a, x, threads)
+	z := dense.New(n, g.L1.Lin.Out)
+	g.InferTo(ctx, z, a, x)
 	res.Accuracy = Accuracy(z, labels, mask)
 	return res
 }

@@ -92,35 +92,24 @@ func SpMMDiagTo(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []f
 //cbm:hotpath
 func spmmDiag(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, right []float32, threads int, sink obs.Sink) {
 	sink.Inc(obs.CounterSpMMCalls)
-	// Sequential fast path: the whole row range in one call, with a
-	// plain Begin/End span instead of the obs.Do closure — both the
-	// loop-body and the Do closures heap-allocate at this call site even
-	// when the schedule is single-threaded, which the zero-allocation
-	// serving path cannot afford. (Tradeoff: no pprof stage label here;
-	// labels exist to attribute pool-worker samples, which a sequential
-	// run does not have.)
+	sp := sink.Begin(obs.StageSpMM)
 	if parallel.Sequential(threads, s.Rows) {
-		sp := sink.Begin(obs.StageSpMM)
 		spmmRows(c, s, b, left, right, 0, s.Rows)
-		sp.End()
-		return
-	}
-	// Grain: enough rows that scheduling overhead amortizes, small
-	// enough that heavy rows don't serialize the tail. Derived from the
-	// thread count the parallel loop will actually use — the raw request
-	// can exceed it for small matrices, which used to undersize the
-	// divisor and produce oversized grains.
-	grain := s.Rows / (8 * parallel.EffectiveThreads(threads, s.Rows))
-	if grain < 16 {
-		grain = 16
-	}
-	nblocks := (s.Rows + grain - 1) / grain
-	obs.DoWith(sink, obs.StageSpMM, func() {
-		parallel.ForDynamic(nblocks, threads, 1, func(blk int) {
+	} else {
+		// Grain: enough rows that scheduling overhead amortizes, small
+		// enough that heavy rows don't serialize the tail. Derived from
+		// the thread count the parallel loop will actually use, which is
+		// below the raw request for small matrices.
+		grain := s.Rows / (8 * parallel.EffectiveThreads(threads, s.Rows))
+		if grain < 16 {
+			grain = 16
+		}
+		parallel.ForDynamic((s.Rows+grain-1)/grain, threads, 1, func(blk int) {
 			lo := blk * grain
 			spmmRows(c, s, b, left, right, lo, min(lo+grain, s.Rows))
 		})
-	})
+	}
+	sp.End()
 }
 
 // spmmRowPortable computes columns [lo, b.Cols) of output row i,
@@ -149,21 +138,4 @@ func spmmRowPortable(c *dense.Matrix, s *sparse.CSR, b *dense.Matrix, left, righ
 	if left != nil {
 		blas.Scal(left[i], crow)
 	}
-}
-
-// SpMV computes y = S·x sequentially for a dense vector x.
-func SpMV(s *sparse.CSR, x []float32) []float32 {
-	if s.Cols != len(x) {
-		panic(fmt.Sprintf("kernels: SpMV shape mismatch: matrix is %dx%d, len(x)=%d", s.Rows, s.Cols, len(x)))
-	}
-	y := make([]float32, s.Rows)
-	for i := 0; i < s.Rows; i++ {
-		cols, vals := s.Row(i)
-		var acc float32
-		for k, c := range cols {
-			acc += vals[k] * x[c]
-		}
-		y[i] = acc
-	}
-	return y
 }

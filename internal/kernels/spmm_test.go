@@ -89,22 +89,6 @@ func TestSpMMToOverwritesGarbage(t *testing.T) {
 	}
 }
 
-func TestSpMVMatchesSpMM(t *testing.T) {
-	rng := xrand.New(5)
-	s := randomCSR(rng, 31, 19, 0.2, false)
-	x := make([]float32, 19)
-	rng.FillUniform(x)
-	bx := dense.New(19, 1)
-	copy(bx.Data, x)
-	want := SpMM(s, bx)
-	got := SpMV(s, x)
-	for i, v := range got {
-		if v != want.At(i, 0) {
-			t.Fatalf("SpMV[%d] = %v, want %v", i, v, want.At(i, 0))
-		}
-	}
-}
-
 // Property: SpMM is linear in B.
 func TestSpMMLinearityProperty(t *testing.T) {
 	f := func(seed uint64) bool {

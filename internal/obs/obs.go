@@ -256,7 +256,7 @@ func StageTotals(s Stage) (count, nanos int64) {
 }
 
 // Reset zeroes every stage accumulator and counter. Recording state
-// (enabled/disabled, profiling) is untouched.
+// (enabled/disabled) is untouched.
 func Reset() {
 	for i := range stages {
 		stages[i].count.Store(0)

@@ -110,33 +110,6 @@ func TestConcurrentSpansAndCounters(t *testing.T) {
 	}
 }
 
-func TestDoRecordsAndRunsWithAndWithoutProfiling(t *testing.T) {
-	Reset()
-	ran := 0
-	Do(StageInfer, func() { ran++ })
-	EnableProfiling()
-	if !ProfilingEnabled() {
-		t.Fatal("ProfilingEnabled() false after EnableProfiling")
-	}
-	Do(StageInfer, func() { ran++ })
-	DisableProfiling()
-	if ran != 2 {
-		t.Fatalf("Do ran body %d times, want 2", ran)
-	}
-	if count, _ := StageTotals(StageInfer); count != 2 {
-		t.Fatalf("Do recorded %d spans, want 2", count)
-	}
-	Disable()
-	Do(StageInfer, func() { ran++ })
-	Enable()
-	if ran != 3 {
-		t.Fatal("disabled Do must still run the body")
-	}
-	if count, _ := StageTotals(StageInfer); count != 2 {
-		t.Fatal("disabled Do must not record a span")
-	}
-}
-
 func TestNamesAreStableAndUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for _, s := range Stages() {
