@@ -63,7 +63,7 @@ go test -race -count=1 -run 'TestEngine' ./internal/gnn/
 echo "==> micro-batching smoke (-race, deterministic clock + batched bitwise equivalence)"
 go test -race -count=1 -run 'TestBatcher|TestGatherScatter|TestEngineBatched' ./internal/gnn/
 
-echo "==> zero-alloc smoke (GEMM, CSR SpMM and two-stage kernels + arena + forward path + engine steady state; SIMD kernels bitwise vs portable)"
+echo "==> zero-alloc smoke (GEMM, CSR SpMM and one-pass CBM multiply + arena + forward path + training epoch + engine steady state; SIMD kernels bitwise vs portable)"
 go test -count=1 -run 'ZeroAlloc|TestArenaSteadyState|Bitwise' \
     ./internal/dense/ ./internal/blas/ ./internal/kernels/ ./internal/cbm/ ./internal/exec/ ./internal/gnn/
 
@@ -73,7 +73,7 @@ GOAMD64=v3 go test -count=1 -run 'Bitwise' ./internal/dense/ ./internal/blas/ ./
 echo "==> cmd/verify smoke sweep"
 go run ./cmd/verify -n 64 -sweep quick
 
-echo "==> MulTo thread invariance + concurrency stress smoke"
+echo "==> cmd/verify at 1/4/8 threads against the float64 oracles + concurrency stress smoke"
 go run ./cmd/verify -n 96 -gens hub,sbm -alphas 0,4 -threads 1,4,8 -stress 1
 
 echo "==> FuzzDecode smoke (container reader: reject or multiply deterministically, never panic)"
@@ -92,9 +92,10 @@ go run ./cmd/cbmbench -exp bench -datasets cora -cols 16 -reps 3 -warmup 1 \
 go run ./cmd/cbmbench -check-bench BENCH_cbm.smoke.json
 rm -f BENCH_cbm.smoke.json
 
-echo "==> non-test Go lines outside perfbench and cmd flag count (informational, tracked per change in ROADMAP.md)"
+echo "==> non-test Go and assembly lines outside perfbench and cmd flag count (informational, tracked per change in ROADMAP.md)"
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
     echo "non-test Go lines: $(cat $(git ls-files '*.go' | grep -v _test.go | grep -v '^perfbench/') | wc -l)"
+    echo "assembly lines: $(cat $(git ls-files '*.s' | grep -v '^perfbench/') | wc -l)"
 fi
 echo "cmd flags: $(grep -rhoE 'flag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Var|Func)\(' cmd | wc -l)"
 

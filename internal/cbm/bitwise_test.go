@@ -65,10 +65,10 @@ func sameBits(x, y float32) bool {
 	return math.Float32bits(x) == math.Float32bits(y)
 }
 
-// TestTwoStageBitwisePortable checks that the two-stage plan of A, AD
-// and DAD matrices — the delta SpMM and the tree update on the AVX
-// kernels where the CPU has them — is bitwise equal to the same
-// product in plain scalar loops, across strip widths, diagonals holding
+// TestTwoStageBitwisePortable checks that the one-pass multiply of A,
+// AD and DAD matrices — the delta SpMM with the tree update in its
+// store, on the AVX kernel where the CPU has it — is bitwise equal to
+// the two-stage product in plain scalar loops, across strip widths, diagonals holding
 // ±1, B holding signed zeros and non-finite values, and thread counts.
 func TestTwoStageBitwisePortable(t *testing.T) {
 	rng := xrand.New(16)
@@ -78,7 +78,7 @@ func TestTwoStageBitwisePortable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if base.NumBranches() == a.Rows {
-		t.Fatal("compression built no tree: the update stage would go untested")
+		t.Fatal("compression built no tree: the update epilogue would go untested")
 	}
 	// DAD divides by the diagonal, so it holds ±1 and ordinary scales
 	// but no zeros.
@@ -127,7 +127,7 @@ func TestTwoStageBitwisePortable(t *testing.T) {
 	}
 }
 
-// TestTwoStageBlockScheduleBitwise checks the parallel update's blocks
+// TestTwoStageBlockScheduleBitwise checks the parallel multiply's blocks
 // of whole branches on a tree built by hand: one 300-row chain, longer
 // than a block, ahead of 200 branches of one to three rows that share
 // blocks. Every thread count must give the scalar two-stage product,
@@ -172,8 +172,70 @@ func TestTwoStageBlockScheduleBitwise(t *testing.T) {
 	}
 }
 
-// TestTwoStageZeroAlloc pins the 1-thread two-stage plan of every kind
-// as allocation-free, at widths with and without a tail.
+// TestOnePassScheduleBitwise checks the one-pass multiply's blocks of
+// whole branches on a tree built by hand: a 400-row chain, longer than
+// a block at every thread count, ahead of 100 branches of two to four
+// rows and 500 single-row branches, the shape of a pubmed-like tail.
+// A, AD and DAD at 1, 2 and 4 threads, through MulTo, MulToCtx and an
+// n×1 MulVec, must all give the scalar two-stage product; a block run
+// twice, skipped or split inside a branch would not.
+func TestOnePassScheduleBitwise(t *testing.T) {
+	rng := xrand.New(27)
+	const chain, small, single = 400, 100, 500
+	var parent []int32
+	for x := 0; x < chain; x++ {
+		parent = append(parent, int32(x-1))
+	}
+	for i := 0; i < small; i++ {
+		root := int32(len(parent))
+		parent = append(parent, -1)
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			parent = append(parent, root+int32(rng.Intn(int(int32(len(parent))-root))))
+		}
+	}
+	for i := 0; i < single; i++ {
+		parent = append(parent, -1)
+	}
+	n := len(parent)
+	delta := randomBinary(rng, n, 0.01, false)
+	for k := range delta.Vals {
+		delta.Vals[k] = []float32{1, -1}[rng.Intn(2)]
+	}
+	base := &Matrix{n: n, kind: KindA, delta: delta, parent: parent}
+	base.order, base.branchOff = branchDecompose(parent)
+	d := randomDiag(rng, n)
+	for _, m := range []*Matrix{base, base.WithColumnScale(d), base.WithSymmetricScale(d)} {
+		for _, width := range []int{32, 19} {
+			b := randomDense(rng, n, width)
+			want := portableTwoStage(m, b)
+			for _, threads := range []int{1, 2, 4} {
+				c := dense.New(n, width)
+				m.MulTo(c, b, threads)
+				ctxC := dense.New(n, width)
+				m.MulToCtx(exec.New(threads), ctxC, b)
+				for i, v := range c.Data {
+					if !sameBits(v, want.Data[i]) || !sameBits(ctxC.Data[i], want.Data[i]) {
+						t.Fatalf("%v n=%d threads=%d: element %d = %v (MulToCtx %v), scalar %v",
+							m.kind, width, threads, i, v, ctxC.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+		v := randomDense(rng, n, 1)
+		want := portableTwoStage(m, v)
+		for _, threads := range []int{1, 2, 4} {
+			for i, y := range m.MulVecParallel(v.Data, threads) {
+				if !sameBits(y, want.Data[i]) {
+					t.Fatalf("%v MulVec threads=%d: element %d = %v, scalar %v", m.kind, threads, i, y, want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTwoStageZeroAlloc pins the 1-thread multiply of every kind, through
+// MulTo and MulToCtx, as allocation-free, at widths with and without a
+// tail and with no full strip.
 func TestTwoStageZeroAlloc(t *testing.T) {
 	rng := xrand.New(4)
 	a := synth.SBMGroups(240, 12, 0.9, 0.3, 4)
@@ -182,12 +244,16 @@ func TestTwoStageZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := randomDiag(rng, a.Rows)
-	for _, n := range []int{32, 33, 37} {
+	ctx := exec.New(1)
+	for _, n := range []int{1, 19, 32, 33, 37} {
 		b := randomDense(rng, a.Rows, n)
 		c := dense.New(a.Rows, n)
 		for _, m := range []*Matrix{base, base.WithColumnScale(d), base.WithSymmetricScale(d)} {
 			if allocs := testing.AllocsPerRun(20, func() { m.MulTo(c, b, 1) }); allocs != 0 {
-				t.Fatalf("%v n=%d: two-stage MulTo allocates %v times per call, want 0", m.Kind(), n, allocs)
+				t.Fatalf("%v n=%d: MulTo allocates %v times per call, want 0", m.Kind(), n, allocs)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { m.MulToCtx(ctx, c, b) }); allocs != 0 {
+				t.Fatalf("%v n=%d: MulToCtx allocates %v times per call, want 0", m.Kind(), n, allocs)
 			}
 		}
 	}
@@ -195,7 +261,8 @@ func TestTwoStageZeroAlloc(t *testing.T) {
 
 // TestMulStageLedger pins the stage spans one multiply records through
 // its context's sink, which the per-layer split of a request is built
-// from: StageSpMM and StageUpdate once each, at 1 and 2 threads.
+// from: one StageSpMM span and one SpMM call, and no StageUpdate span,
+// since the update rides in the SpMM's store, at 1 and 2 threads.
 func TestMulStageLedger(t *testing.T) {
 	if !obs.Enabled() {
 		obs.Enable()
@@ -215,9 +282,12 @@ func TestMulStageLedger(t *testing.T) {
 			m.MulToCtx(exec.NewWithSink(threads, rec), c, b)
 			spmm, _ := rec.StageTotals(obs.StageSpMM)
 			update, _ := rec.StageTotals(obs.StageUpdate)
-			if spmm != 1 || update != 1 {
-				t.Fatalf("%v threads=%d: %d spmm and %d update spans, want 1 and 1",
+			if spmm != 1 || update != 0 {
+				t.Fatalf("%v threads=%d: %d spmm and %d update spans, want 1 and 0",
 					m.Kind(), threads, spmm, update)
+			}
+			if calls := rec.CounterValue(obs.CounterSpMMCalls); calls != 1 {
+				t.Fatalf("%v threads=%d: %d SpMM calls, want 1", m.Kind(), threads, calls)
 			}
 		}
 	}

@@ -1,20 +1,18 @@
 // Matrix multiplication kernels for the CBM format (Sec. IV–V).
 //
-// C = M·B is computed in two stages:
-//
-//  1. Multiplication stage: C ← A'·B (or (AD)'·B), a plain sparse-dense
-//     product on the delta matrix, delegated to the same SpMM kernel
-//     the CSR baseline uses (the paper delegates to Intel MKL here).
-//     For DAD matrices the kernel also applies Eq. 6's row scale d_x at
-//     its single store per row, so every row leaves this stage as
-//     d_x·((AD)'B)_x and a row hanging off the virtual root is final.
-//  2. Update stage: the compression tree is traversed in topological
-//     order; each row with a real parent accumulates its parent's
-//     finished row (an axpy), scaled by d_x/d_parent for DAD matrices,
-//     in kernels.TreeUpdate. Branches hanging off the virtual root are
-//     independent, so the parallel variant distributes blocks of whole
-//     branches to threads with dynamic scheduling, one kernel call per
-//     block; sequentially one call covers them all.
+// C = M·B is computed in one pass over the rows in compression-tree
+// pre-order, by the same SpMM row kernel the CSR baseline uses (the
+// paper delegates to Intel MKL here), kernels.SpMMTreeTo. Each row
+// first gets its delta product, A'·B (or (AD)'·B), scaled for DAD
+// matrices by Eq. 6's d_x; a row with a real parent then adds its
+// parent's finished row, scaled by d_x/d_parent for DAD matrices (the
+// paper's update stage), and is stored once. Pre-order puts every
+// parent before its children. Branches hanging off the virtual root are
+// independent, so threads take blocks of whole branches with dynamic
+// scheduling, one kernel call per block; sequentially one call covers
+// them all. The operations and their order per element are those of
+// the paper's two-stage pipeline (delta SpMM, barrier, update), so the
+// result is bitwise the same.
 //
 // Property 3 holds: no scratch proportional to the matrix size is
 // allocated; everything happens in the output matrix C.
@@ -23,13 +21,11 @@ package cbm
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/dense"
 	"repro/internal/exec"
 	"repro/internal/kernels"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // kindPanicMsg builds the panic text for an unhandled matrix kind in a
@@ -56,10 +52,9 @@ func (m *Matrix) MulParallel(b *dense.Matrix, threads int) *dense.Matrix {
 }
 
 // MulTo computes c = M·b into the pre-allocated output c (overwritten)
-// with the paper's two-stage pipeline: whole-matrix delta SpMM,
-// barrier, tree update. Per-element operation order does not depend on
-// the thread count, so the result is bitwise identical at every thread
-// count.
+// in one pass over the rows in compression-tree pre-order. Per-element
+// operation order does not depend on the thread count, so the result
+// is bitwise identical at every thread count.
 //
 //cbm:hotpath
 func (m *Matrix) MulTo(c, b *dense.Matrix, threads int) {
@@ -85,16 +80,15 @@ func (m *Matrix) mul(c, b *dense.Matrix, threads int, sink obs.Sink) {
 		panic(fmt.Sprintf("cbm: Mul output shape mismatch: got %d×%d, want %d×%d", c.Rows, c.Cols, m.n, b.Cols))
 	}
 	sink.Inc(obs.CounterMulCalls)
-	m.mulTwoStage(c, b, threads, sink)
+	m.mulTree(c, b, threads, sink)
 }
 
-// mulTwoStage is the paper's Sec. V-A pipeline: delta SpMM over every
-// row, full barrier, then the branch-parallel tree update.
+// mulTree runs the one-pass product: one kernel call per block of
+// branches, in one parallel region with one StageSpMM span. The DAD
+// diagonal is both the rows' scale d_x and the source of d_x/d_p.
 //
 //cbm:hotpath
-func (m *Matrix) mulTwoStage(c, b *dense.Matrix, threads int, sink obs.Sink) {
-	// The DAD row scale d_x rides on the SpMM's left diagonal, so the
-	// update stage visits only rows with a real parent.
+func (m *Matrix) mulTree(c, b *dense.Matrix, threads int, sink obs.Sink) {
 	var diag []float32
 	switch m.kind {
 	case KindA, KindAD:
@@ -103,58 +97,11 @@ func (m *Matrix) mulTwoStage(c, b *dense.Matrix, threads int, sink obs.Sink) {
 	default:
 		panic(kindPanicMsg(m.kind, m.n))
 	}
-	kernels.SpMMDiagTo(c, m.delta, b, diag, nil, threads, sink)
-	// Branches are stored largest first, so the single-row ones, whose
-	// root row the SpMM has already finished, are the tail of m.order:
-	// the update stops before them.
-	nb := m.multiRowBranches()
-	off := m.branchOff[:nb+1]
-	rows := int(off[nb])
-	sp := sink.Begin(obs.StageUpdate)
-	if parallel.Sequential(threads, nb) {
-		// The branches are stored back to back, so one kernel call
-		// updates them all.
-		kernels.TreeUpdate(c, m.order[:rows], m.parent, diag)
-	} else {
-		// Blocks of whole branches, about grain rows each, the SpMM's
-		// row grain: block k is the branches whose first row sits in
-		// m.order[k·grain : (k+1)·grain], so a branch longer than grain
-		// is a block on its own (the blocks inside it are empty) and
-		// short branches share one kernel call.
-		grain := rows / (8 * parallel.EffectiveThreads(threads, nb))
-		if grain < 16 {
-			grain = 16
-		}
-		parallel.ForDynamic((rows+grain-1)/grain, threads, 1, func(k int) {
-			lo, _ := slices.BinarySearch(off, int32(k*grain))
-			hi, _ := slices.BinarySearch(off, int32(min((k+1)*grain, rows)))
-			if lo < hi {
-				kernels.TreeUpdate(c, m.order[off[lo]:off[hi]], m.parent, diag)
-			}
-		})
-	}
-	sp.End()
-}
-
-// multiRowBranches returns how many branches hold more than one row:
-// branches are stored largest first, so these are the leading ones.
-//
-//cbm:hotpath
-func (m *Matrix) multiRowBranches() int {
-	lo, hi := 0, m.NumBranches()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if m.branchOff[mid+1]-m.branchOff[mid] > 1 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	kernels.SpMMTreeTo(c, m.delta, b, diag, m.order, m.parent, m.branchOff, threads, sink)
 }
 
 // MulVec computes y = M·v for a dense vector (the matrix-vector product
-// of Sec. IV): the two-stage plan on v as an n×1 operand.
+// of Sec. IV): the one-pass product on v as an n×1 operand.
 func (m *Matrix) MulVec(v []float32) []float32 {
 	return m.MulVecParallel(v, 1)
 }
@@ -168,6 +115,6 @@ func (m *Matrix) MulVecParallel(v []float32, threads int) []float32 {
 	}
 	obs.Inc(obs.CounterMulVecCalls)
 	y := dense.New(m.n, 1)
-	m.mulTwoStage(y, &dense.Matrix{Rows: m.n, Cols: 1, Data: v}, threads, obs.Global)
+	m.mulTree(y, &dense.Matrix{Rows: m.n, Cols: 1, Data: v}, threads, obs.Global)
 	return y.Data
 }

@@ -285,7 +285,15 @@ func (m *Matrix) Add(o *Matrix) *Matrix {
 
 // Transpose returns a new matrix that is the transpose of m.
 func (m *Matrix) Transpose() *Matrix {
-	t := New(m.Cols, m.Rows)
+	return m.TransposeTo(New(m.Cols, m.Rows))
+}
+
+// TransposeTo writes the transpose of m into t (overwritten) and
+// returns t.
+func (m *Matrix) TransposeTo(t *Matrix) *Matrix {
+	if t.Rows != m.Cols || t.Cols != m.Rows {
+		panic(fmt.Sprintf("dense: TransposeTo shape mismatch: %dx%d into %dx%d", m.Rows, m.Cols, t.Rows, t.Cols))
+	}
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {

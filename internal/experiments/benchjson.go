@@ -12,7 +12,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cbm"
 	"repro/internal/dense"
-	"repro/internal/exec"
 	"repro/internal/gnn"
 	"repro/internal/kernels"
 	"repro/internal/obs"
@@ -48,8 +47,10 @@ import (
 // the reorder block, the reordered flag and the shard block with the
 // similarity reordering and sharded serving they measured; v10 dropped
 // cbm_two_stage, cbm_csr_plan and chosen_plan with the CSR plan: MulTo
-// runs the two-stage plan on every matrix.
-const BenchSchema = "cbm-bench/v10"
+// runs the two-stage plan on every matrix; v11 dropped stage_split with
+// the update stage: the tree update rides in the delta SpMM's store, so
+// a multiply has one stage.
+const BenchSchema = "cbm-bench/v11"
 
 // BenchTiming is bench.Timing flattened to seconds for JSON.
 type BenchTiming struct {
@@ -60,17 +61,6 @@ type BenchTiming struct {
 
 func toBenchTiming(t bench.Timing) BenchTiming {
 	return BenchTiming{Reps: t.Reps, MeanSeconds: t.Mean.Seconds(), StdSeconds: t.Std.Seconds()}
-}
-
-// BenchStageSplit attributes the mean CBM multiplication time to the
-// two pipeline stages of Sec. V-A (zero when obs is disabled), from
-// the MulTo runs under their own scoped obs.Recorder, so concurrent
-// activity elsewhere in the process cannot leak into the split.
-type BenchStageSplit struct {
-	SpMMSeconds   float64 `json:"spmm_s"`
-	UpdateSeconds float64 `json:"update_s"`
-	// SpMMFraction is spmm/(spmm+update), the headline split number.
-	SpMMFraction float64 `json:"spmm_frac"`
 }
 
 // BenchDataset is one dataset's row of the benchmark report. CBMMul is
@@ -86,8 +76,7 @@ type BenchDataset struct {
 	CSRSpMM          BenchTiming `json:"csr_spmm"`
 	CBMMul           BenchTiming `json:"cbm_mul"`
 	// Speedup is CSR SpMM over CBM MulTo.
-	Speedup float64         `json:"speedup"`
-	Stages  BenchStageSplit `json:"stage_split"`
+	Speedup float64 `json:"speedup"`
 	// Inference is the end-to-end serving comparison: per-request GCN2
 	// engine latency at each probed concurrency level.
 	Inference []BenchInference `json:"inference"`
@@ -142,10 +131,9 @@ type BenchReport struct {
 
 // BenchJSON runs the machine-readable benchmark: for each dataset it
 // compresses at the paper's best parallel α, measures CSR SpMM vs. CBM
-// MulTo through bench.Measure (mean ± σ), and attributes the CBM time
-// to the delta-SpMM and tree-update stages via obs span deltas. The
-// thread count is clamped to the cores present: more workers than
-// cores only time the scheduler. The result feeds the repository's
+// MulTo through bench.Measure (mean ± σ). The thread count is clamped
+// to the cores present: more workers than cores only time the
+// scheduler. The result feeds the repository's
 // performance trajectory.
 func BenchJSON(cfg Config) (*BenchReport, error) {
 	cfg = cfg.Defaults()
@@ -188,24 +176,13 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 
 		// The headline pair (CSR SpMM vs CBM MulTo) is measured in one
 		// interleaved rotation, so machine drift cannot masquerade as a
-		// format difference. MulTo runs under its own scoped
-		// obs.Recorder (the CSR SpMM also records StageSpMM, so the
-		// global totals would conflate it with the two-stage split).
-		rec := obs.NewRecorder()
-		ctx := exec.NewWithSink(cfg.Threads, rec)
+		// format difference.
 		tms := bench.MeasureInterleaved(cfg.Reps, cfg.Warmup,
 			func() { kernels.SpMMTo(c, a, b, cfg.Threads) },
-			func() { m.MulToCtx(ctx, c, b) },
+			func() { m.MulTo(c, b, cfg.Threads) },
 		)
 		tCSR, tCBM := tms[0], tms[1]
 
-		calls := float64(cfg.Reps + cfg.Warmup)
-		spmmS := rec.StageSeconds(obs.StageSpMM) / calls
-		updS := rec.StageSeconds(obs.StageUpdate) / calls
-		frac := 0.0
-		if spmmS+updS > 0 {
-			frac = spmmS / (spmmS + updS)
-		}
 		speedup := math.NaN()
 		if tCBM.Seconds() > 0 {
 			speedup = tCSR.Seconds() / tCBM.Seconds()
@@ -224,12 +201,7 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 			CSRSpMM:          toBenchTiming(tCSR),
 			CBMMul:           toBenchTiming(tCBM),
 			Speedup:          speedup,
-			Stages: BenchStageSplit{
-				SpMMSeconds:   spmmS,
-				UpdateSeconds: updS,
-				SpMMFraction:  frac,
-			},
-			Inference: inference,
+			Inference:        inference,
 		})
 	}
 	return report, nil
@@ -457,7 +429,6 @@ func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 func WriteBench(w io.Writer, r *BenchReport) {
 	t := &bench.Table{Header: []string{
 		"Graph", "Alpha", "ratio", "CSR SpMM", "CBM Mul", "spd",
-		"spmm_s", "update_s", "spmm%",
 	}}
 	for _, d := range r.Datasets {
 		t.AddRow(d.Name,
@@ -466,9 +437,6 @@ func WriteBench(w io.Writer, r *BenchReport) {
 			fmt.Sprintf("%.4f (± %.4f)", d.CSRSpMM.MeanSeconds, d.CSRSpMM.StdSeconds),
 			fmt.Sprintf("%.4f (± %.4f)", d.CBMMul.MeanSeconds, d.CBMMul.StdSeconds),
 			fmt.Sprintf("%.2f", d.Speedup),
-			fmt.Sprintf("%.4f", d.Stages.SpMMSeconds),
-			fmt.Sprintf("%.4f", d.Stages.UpdateSeconds),
-			fmt.Sprintf("%.0f%%", 100*d.Stages.SpMMFraction),
 		)
 	}
 	fmt.Fprintf(w, "Bench — machine-readable per-dataset timings (threads=%d nproc=%d gomaxprocs=%d cols=%d reps=%d)\n",

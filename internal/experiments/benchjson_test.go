@@ -32,15 +32,6 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 	if r.NProc < 1 || r.GOMAXPROCS < 1 || r.Threads > r.NProc {
 		t.Fatalf("machine record: threads=%d nproc=%d gomaxprocs=%d", r.Threads, r.NProc, r.GOMAXPROCS)
 	}
-	// obs is enabled, so the split must attribute real time to both
-	// two-stage stages, cora's ratio-1.00 tree included, and the
-	// fraction must be a sane ratio.
-	if d.Stages.SpMMSeconds <= 0 || d.Stages.UpdateSeconds <= 0 {
-		t.Fatalf("stage split empty with obs enabled: %+v", d.Stages)
-	}
-	if d.Stages.SpMMFraction <= 0 || d.Stages.SpMMFraction >= 1 {
-		t.Fatalf("spmm fraction %v out of (0,1)", d.Stages.SpMMFraction)
-	}
 	if len(d.Inference) != len(inferenceConcurrency) {
 		t.Fatalf("inference blocks = %d, want %d", len(d.Inference), len(inferenceConcurrency))
 	}
@@ -106,7 +97,9 @@ func TestReadBenchReportRejectsBadDocuments(t *testing.T) {
 		machine = `"nproc":2,"gomaxprocs":2,"threads":2`
 		timings = `"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1}`
 		// The v9 plan fields v10 dropped, valid under v9.
-		plans   = `,"cbm_two_stage":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"branch"`
+		plans = `,"cbm_two_stage":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"branch"`
+		// The v10 stage split v11 dropped, valid under v10.
+		stages  = `,"stage_split":{"spmm_s":1,"update_s":1,"spmm_frac":0.5}`
 		serving = `,"inference":[{"concurrency":1,` +
 			`"csr":{"requests":1,"mean_s":1,"p99_s":1},"cbm":{"requests":1,"mean_s":1,"p99_s":1},"speedup":1,` +
 			`"cbm_batched":{"requests":1,"mean_s":1,"p99_s":1},"batched_speedup":1,"mean_batch_cols":1}]`
@@ -125,6 +118,7 @@ func TestReadBenchReportRejectsBadDocuments(t *testing.T) {
 		"stale v7":     `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1}]}`,
 		"stale v8":     docSchema("cbm-bench/v8", machine, timings+reorder+shard+serving),
 		"stale v9":     docSchema("cbm-bench/v9", machine, timings+plans+serving),
+		"stale v10":    docSchema("cbm-bench/v10", machine, timings+stages+serving),
 		"no datasets":  `{"schema":"` + BenchSchema + `",` + machine + `,"datasets":[]}`,
 		"not json":     `{`,
 		"unknown keys": `{"schema":"` + BenchSchema + `",` + machine + `,"bogus":1,"datasets":[]}`,
@@ -136,6 +130,7 @@ func TestReadBenchReportRejectsBadDocuments(t *testing.T) {
 		"dropped reorder":      doc(machine, timings+reorder+serving),
 		"dropped shard":        doc(machine, timings+shard+serving),
 		"dropped plan fields":  doc(machine, timings+plans+serving),
+		"dropped stage split":  doc(machine, timings+stages+serving),
 		"no cbm timing":        doc(machine, `"csr_spmm":{"mean_s":1}`+serving),
 		"no inference":         doc(machine, timings),
 		"no batched serving": doc(machine, timings+`,"inference":[{"concurrency":1,`+

@@ -272,3 +272,28 @@ func TestMeanReadout(t *testing.T) {
 		t.Fatalf("empty block readout %v", out2.Row(0))
 	}
 }
+
+// TestTrainEpochZeroAlloc pins the training loop's per-epoch buffers
+// as allocated once, before the first epoch: at 1 thread, ten more
+// epochs must cost no allocation beyond the run's fixed setup.
+func TestTrainEpochZeroAlloc(t *testing.T) {
+	a := synth.SBMGroups(120, 12, 0.8, 0.2, 5)
+	x := dense.New(a.Rows, 8)
+	xrand.New(6).FillUniform(x.Data)
+	labels := make([]int, a.Rows)
+	for i := range labels {
+		labels[i] = i % 4
+	}
+	backend, _, err := NewCBMBackend(a, cbm.Options{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := NewGCN2(8, 16, 4, 7)
+	allocs := func(epochs int) float64 {
+		cfg := TrainConfig{LR: 0.01, Epochs: epochs, Threads: 1}
+		return testing.AllocsPerRun(5, func() { model.Train(backend, x, labels, nil, cfg) })
+	}
+	if perEpoch := (allocs(11) - allocs(1)) / 10; perEpoch > 0 {
+		t.Fatalf("Train allocates %.1f times per epoch, want 0", perEpoch)
+	}
+}

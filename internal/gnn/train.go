@@ -114,43 +114,43 @@ func (g *GCN2) Train(a Adjacency, x *dense.Matrix, labels []int, mask []bool, cf
 	ctx := exec.New(threads)
 	res := TrainResult{Losses: make([]float64, 0, cfg.Epochs)}
 
+	// Every epoch overwrites the same buffers.
+	hid, out := g.L0.Lin.Out, g.L1.Lin.Out
+	p0, s0, h1, dh1, dp0 := dense.New(n, hid), dense.New(n, hid), dense.New(n, hid), dense.New(n, hid), dense.New(n, hid)
+	p1, z, dz, dp1 := dense.New(n, out), dense.New(n, out), dense.New(n, out), dense.New(n, out)
+	h1T, w1T := dense.New(hid, n), dense.New(out, hid)
+	dw1, dw0 := dense.New(hid, out), dense.New(x.Cols, hid)
+	xT := x.TransposeTo(dense.New(x.Cols, n))
+
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Forward, keeping intermediates for backprop.
-		p0 := dense.New(n, g.L0.Lin.Out)
 		g.L0.Lin.ForwardTo(ctx, p0, x) // X·W0
-		s0 := dense.New(n, p0.Cols)
-		a.MulToCtx(ctx, s0, p0) // Â·X·W0
-		h1 := s0.Clone().ReLU()
-		p1 := dense.New(n, g.L1.Lin.Out)
+		a.MulToCtx(ctx, s0, p0)        // Â·X·W0
+		h1.CopyFrom(s0).ReLU()
 		g.L1.Lin.ForwardTo(ctx, p1, h1) // H1·W1
-		z := dense.New(n, p1.Cols)
-		a.MulToCtx(ctx, z, p1) // Â·H1·W1
+		a.MulToCtx(ctx, z, p1)          // Â·H1·W1
 
-		dz := dense.New(n, z.Cols)
 		loss := SoftmaxCrossEntropy(z, labels, mask, dz)
 		res.Losses = append(res.Losses, loss)
 
 		// Backward.
-		dp1 := dense.New(n, dz.Cols)
-		a.MulToCtx(ctx, dp1, dz)                               // Âᵀ·dZ = Â·dZ
-		dw1 := dense.MulParallel(h1.Transpose(), dp1, threads) // H1ᵀ·dP1
-		dh1 := dense.MulParallel(dp1, g.L1.Lin.W.Transpose(), threads)
+		a.MulToCtx(ctx, dp1, dz)                            // Âᵀ·dZ = Â·dZ
+		dense.MulTo(dw1, h1.TransposeTo(h1T), dp1, threads) // H1ᵀ·dP1
+		dense.MulTo(dh1, dp1, g.L1.Lin.W.TransposeTo(w1T), threads)
 		// ReLU gate: dS0 = dH1 ⊙ 1[S0 > 0]
 		for i, v := range s0.Data {
 			if v <= 0 {
 				dh1.Data[i] = 0
 			}
 		}
-		dp0 := dense.New(n, dh1.Cols)
 		a.MulToCtx(ctx, dp0, dh1) // Â·dS0
-		dw0 := dense.MulParallel(x.Transpose(), dp0, threads)
+		dense.MulTo(dw0, xT, dp0, threads)
 
 		// SGD step.
 		applySGD(g.L1.Lin.W, dw1, cfg.LR)
 		applySGD(g.L0.Lin.W, dw0, cfg.LR)
 	}
 
-	z := dense.New(n, g.L1.Lin.Out)
 	g.InferTo(ctx, z, a, x)
 	res.Accuracy = Accuracy(z, labels, mask)
 	return res

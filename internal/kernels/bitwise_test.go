@@ -1,13 +1,14 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/dense"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
@@ -139,7 +140,7 @@ func bitwiseDiag(rng *xrand.RNG, n int) []float32 {
 func portableSpMMDiag(s *sparse.CSR, b *dense.Matrix, left, right []float32) *dense.Matrix {
 	c := dense.New(s.Rows, b.Cols)
 	for i := 0; i < s.Rows; i++ {
-		spmmRowPortable(c, s, b, left, right, i, 0)
+		spmmRowPortable(c, s, b, left, right, nil, i, 0)
 	}
 	return c
 }
@@ -284,7 +285,7 @@ func TestSpMMRowsBitwisePortable(t *testing.T) {
 					for i := range c.Data {
 						c.Data[i] = sentinel
 					}
-					spmmRows(c, s, b, d.left, d.right, r[0], r[1])
+					spmmRows(c, s, b, d.left, d.right, nil, nil, r[0], r[1])
 					for i := 0; i < rows; i++ {
 						for j, v := range c.Row(i) {
 							inRange := i >= r[0] && i < r[1]
@@ -338,10 +339,10 @@ func TestSpMMAVXBitwiseNaNOrder(t *testing.T) {
 	}
 }
 
-// treeValue draws an element for the update-kernel tests: mostly
-// ordinary values, plus ±0, ±1, ±Inf and NaNs with random sign and
-// payload, so a kernel that swaps the operands of an add or a multiply
-// shows up in the NaN it propagates.
+// treeValue draws a diagonal entry for the tree tests: mostly ordinary
+// values, plus ±0, ±1, ±Inf and NaNs with random sign and payload, so a
+// kernel that swaps the operands of an add or a multiply shows up in
+// the NaN it propagates.
 func treeValue(rng *xrand.RNG) float32 {
 	switch rng.Intn(16) {
 	case 0:
@@ -351,22 +352,29 @@ func treeValue(rng *xrand.RNG) float32 {
 	case 2:
 		return []float32{posInf, negInf}[rng.Intn(2)]
 	case 3:
-		return math.Float32frombits(uint32(rng.Uint64())&0x803fffff | 0x7fc00000)
+		return randomNaN(rng)
 	default:
 		return rng.Float32()*4 - 2
 	}
+}
+
+// randomNaN returns a quiet NaN with a random sign and payload.
+func randomNaN(rng *xrand.RNG) float32 {
+	return math.Float32frombits(uint32(rng.Uint64())&0x803fffff | 0x7fc00000)
 }
 
 // bitwiseTree builds a random compression tree over n rows whose first
 // chain positions form one path of depth chain; every other position
 // hangs off the virtual root or off a random earlier position. A random
 // permutation maps positions to row ids, so parents sit both above and
-// below their children in c. It returns the parent pointers and the
-// branches (one per virtual-root child, in pre-order).
-func bitwiseTree(rng *xrand.RNG, n, chain int) (parent []int32, branches [][]int32) {
+// below their children in c. It returns the parent pointers, every row
+// branch by branch in pre-order (one branch per virtual-root child) and
+// the branch offsets into that order.
+func bitwiseTree(rng *xrand.RNG, n, chain int) (parent, order, branchOff []int32) {
 	id := rng.Perm(n)
 	parent = make([]int32, n)
 	root := make([]int, n) // branch index of every position
+	var branches [][]int32
 	for pos := 0; pos < n; pos++ {
 		pp := -1
 		switch {
@@ -386,64 +394,159 @@ func bitwiseTree(rng *xrand.RNG, n, chain int) (parent []int32, branches [][]int
 		// Positions grow, so every parent is listed before its children.
 		branches[root[pos]] = append(branches[root[pos]], int32(id[pos]))
 	}
-	return parent, branches
+	branchOff = []int32{0}
+	for _, br := range branches {
+		order = append(order, br...)
+		branchOff = append(branchOff, int32(len(order)))
+	}
+	return parent, order, branchOff
 }
 
-// TestTreeUpdateBitwisePortable checks the tree-update kernel against
-// its portable twin for A/AD (no diagonal) and DAD rows: a chain of
-// depth 70 plus a random forest, so runs mix virtual-root rows, deep
-// dependencies and parents stored on either side of their children,
-// with ±0, ±1, ±Inf and NaN payloads in c and in the diagonal. Bits are
-// compared exactly, NaNs included: the kernel keeps the operand order
-// of the blas kernels the twin calls, in the same binary. The run is
-// updated in one call (one thread) and branch by branch on 2 and 4
-// threads; an empty run must change nothing.
-func TestTreeUpdateBitwisePortable(t *testing.T) {
-	t.Logf("AVX kernel in use: %v", useAVX)
-	const n, chain = 150, 70
-	rng := xrand.New(6)
-	parent, branches := bitwiseTree(rng, n, chain)
-	var all []int32
-	for _, br := range branches {
-		all = append(all, br...)
+// portableTree is the reference for SpMMTreeTo: the delta product row
+// by row (spmmRowPortable without a tree), then the Eq. 6 update in
+// order with the blas kernels, the former two-stage pipeline.
+func portableTree(s *sparse.CSR, b *dense.Matrix, left []float32, order, parent []int32) *dense.Matrix {
+	c := portableSpMMDiag(s, b, left, nil)
+	for _, x := range order {
+		p := parent[x]
+		if p < 0 {
+			continue
+		}
+		if prow, row := c.Row(int(p)), c.Row(int(x)); left == nil {
+			blas.Add(prow, row)
+		} else {
+			blas.Axpy(left[x]/left[p], prow, row)
+		}
 	}
+	return c
+}
+
+// TestSpMMTreeBitwisePortable checks the one-pass CBM product against
+// the two-stage reference (delta SpMM, then the update in pre-order)
+// for A/AD (no diagonal) and DAD rows: a chain of depth 70 plus a
+// random forest, so ranges mix virtual-root rows, deep dependencies and
+// parents stored on either side of their children, with ±0, ±1, ±Inf
+// and NaN payloads in the diagonal and NaN payloads in the delta
+// values. Bits are compared exactly, NaNs included: each element meets
+// at most one NaN before the epilogue, whose operand order is the one
+// of the blas kernels the reference calls. It runs SpMMTreeTo at 1, 2
+// and 4 threads and the row-range kernel on sub-ranges of the order,
+// which must leave every row outside the range alone.
+func TestSpMMTreeBitwisePortable(t *testing.T) {
+	t.Logf("AVX kernel in use: %v", useAVX)
+	const n, chain, maxNNZ = 150, 70, 6
+	rng := xrand.New(6)
+	parent, order, branchOff := bitwiseTree(rng, n, chain)
 	diag := make([]float32, n)
 	for i := range diag {
 		diag[i] = treeValue(rng)
 	}
-	for _, width := range []int{1, 7, 8, 9, 16, 24, 31, 32, 33, 40} {
-		c0 := dense.New(n, width)
-		for i := range c0.Data {
-			c0.Data[i] = treeValue(rng)
-		}
+	const sentinel = float32(-7.25)
+	for _, width := range []int{1, 7, 8, 9, 16, 19, 24, 31, 32, 33, 40} {
+		b := dense.New(n, width)
+		rng.FillUniform(b.Data)
 		for _, kind := range []struct {
 			name string
-			diag []float32
-		}{{"A/AD", nil}, {"DAD", diag}} {
-			empty := c0.Clone()
-			TreeUpdate(empty, nil, parent, kind.diag)
-			for i, v := range empty.Data {
-				if math.Float32bits(v) != math.Float32bits(c0.Data[i]) {
-					t.Fatalf("%s n=%d: an empty run changed element %d", kind.name, width, i)
+			left []float32
+			val  func(k int) float32
+		}{
+			// A NaN delta value only as a row's first nonzero, so the
+			// delta sum meets one NaN; DAD's NaNs come from its diagonal.
+			{"A/AD", nil, func(k int) float32 {
+				if k == 0 && rng.Intn(3) == 0 {
+					return randomNaN(rng)
+				}
+				return []float32{1, -1, 0, negZero, rng.Float32()}[rng.Intn(5)]
+			}},
+			{"DAD", diag, func(int) float32 { return rng.Float32()*2 - 1 }},
+		} {
+			s := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int32, n+1)}
+			for i := 0; i < n; i++ {
+				js := rng.Perm(n)[:rng.Intn(maxNNZ+1)]
+				sort.Ints(js)
+				for k, j := range js {
+					s.ColIdx = append(s.ColIdx, int32(j))
+					s.Vals = append(s.Vals, kind.val(k))
+				}
+				s.RowPtr[i+1] = int32(len(s.ColIdx))
+			}
+			want := portableTree(s, b, kind.left, order, parent)
+			same := func(entry string, got *dense.Matrix, in func(i int) bool) {
+				t.Helper()
+				for i, v := range got.Data {
+					w := want.Data[i]
+					if !in(i / width) {
+						w = sentinel
+					}
+					if math.Float32bits(v) != math.Float32bits(w) {
+						t.Fatalf("%s %s n=%d: row %d col %d = %v (bits %#x), want %v (bits %#x)",
+							entry, kind.name, width, i/width, i%width, v, math.Float32bits(v), w, math.Float32bits(w))
+					}
 				}
 			}
-			want := c0.Clone()
-			treeUpdatePortable(want, all, parent, kind.diag, 0)
 			for _, threads := range []int{1, 2, 4} {
-				got := c0.Clone()
-				if threads == 1 {
-					TreeUpdate(got, all, parent, kind.diag)
-				} else {
-					parallel.ForDynamic(len(branches), threads, 1, func(bi int) {
-						TreeUpdate(got, branches[bi], parent, kind.diag)
-					})
+				got := dense.New(n, width)
+				for i := range got.Data {
+					got.Data[i] = nan32
 				}
-				for i, v := range got.Data {
-					if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
-						t.Fatalf("%s n=%d threads=%d: row %d col %d = %v (bits %#x), portable %v (bits %#x)",
-							kind.name, width, threads, i/width, i%width, v, math.Float32bits(v),
-							want.Data[i], math.Float32bits(want.Data[i]))
-					}
+				SpMMTreeTo(got, s, b, kind.left, order, parent, branchOff, threads, obs.Global)
+				same(fmt.Sprintf("SpMMTreeTo threads=%d", threads), got, func(int) bool { return true })
+			}
+			// Ranges of whole branches, the blocks SpMMTreeTo hands out;
+			// the first is the chain.
+			for _, r := range [][2]int{{0, 0}, {0, int(branchOff[1])}, {int(branchOff[1]), int(branchOff[5])}, {0, n}} {
+				got := dense.New(n, width)
+				for i := range got.Data {
+					got.Data[i] = sentinel
+				}
+				spmmRows(got, s, b, kind.left, nil, order, parent, r[0], r[1])
+				in := make([]bool, n)
+				for _, x := range order[r[0]:r[1]] {
+					in[x] = true
+				}
+				same(fmt.Sprintf("spmmRows [%d,%d)", r[0], r[1]), got, func(i int) bool { return in[i] })
+			}
+		}
+	}
+}
+
+// TestSpMMTreeAVXBitwiseNaNOrder pins the operand roles of the tree
+// epilogue through NaN payloads: row 1 hangs off row 0, and row 0's and
+// row 1's delta products are NaNs with distinct payloads. Without a
+// diagonal the row must carry its own payload (c_1 + c_0, c_1 first).
+// With one, the quotient is finite and (q·c_0) + c_1 must carry row
+// 0's payload (the product first); a zero quotient must skip the add,
+// leaving row 1 as its own scaled product. Widths 8, 16 and 32 run the
+// single, pair and quad strip blocks, 19 a tail as well.
+func TestSpMMTreeAVXBitwiseNaNOrder(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX kernel on this CPU")
+	}
+	s := &sparse.CSR{Rows: 2, Cols: 2, RowPtr: []int32{0, 1, 2}, ColIdx: []int32{0, 1}, Vals: []float32{1, 1}}
+	payload := func(r, j int) uint32 { return 0x7fc00000 | uint32(r+1)<<12 | uint32(j+1) }
+	order, parent, branchOff := []int32{0, 1}, []int32{-1, 0}, []int32{0, 2}
+	for _, n := range []int{8, 16, 19, 32} {
+		b := dense.New(2, n)
+		for r := 0; r < 2; r++ {
+			for j := 0; j < n; j++ {
+				b.Set(r, j, math.Float32frombits(payload(r, j)))
+			}
+		}
+		full := n &^ 7
+		for _, tc := range []struct {
+			name string
+			left []float32
+			want func(j int) uint32
+		}{
+			{"add", nil, func(j int) uint32 { return payload(1, j) }},
+			{"axpy", []float32{2, 1}, func(j int) uint32 { return payload(0, j) }},
+			{"zero-quotient", []float32{2, 0}, func(j int) uint32 { return payload(1, j) }},
+		} {
+			c := dense.New(2, n)
+			SpMMTreeTo(c, s, b, tc.left, order, parent, branchOff, 1, obs.Global)
+			for j := 0; j < full; j++ {
+				if got := math.Float32bits(c.At(1, j)); got != tc.want(j) {
+					t.Fatalf("%s n=%d c[1,%d] bits %#x, want %#x", tc.name, n, j, got, tc.want(j))
 				}
 			}
 		}

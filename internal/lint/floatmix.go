@@ -21,11 +21,6 @@ import (
 //     the arithmetic in single precision and only then widens — the
 //     widening is illusory, the rounding already happened. Convert the
 //     operands, not the result: `float64(a)*float64(b)`.
-//
-// Reduce merge callbacks stay deterministic for a fixed thread count
-// because internal/parallel merges worker results in block order; that
-// runtime guarantee is covered by TestReduceFloatMergeDeterminism, not
-// by this analyzer.
 var FloatMix = &Analyzer{
 	Name: "floatmix",
 	Doc: "no float32↔float64 conversions inside accumulation loops: " +

@@ -14,9 +14,9 @@ import (
 
 // TestConcurrentMulToRecordsConsistently drives the real instrumented
 // pipeline from many goroutines at once — the -race half of the obs
-// acceptance criteria. MulTo must record exactly one update span and
-// one spmm span per call, with no torn counts, and never the fused
-// stage, which nothing emits any more.
+// acceptance criteria. MulTo must record exactly one spmm span per
+// call, with no torn counts, and never the update or the fused stage,
+// which nothing emits any more: the tree update rides in the SpMM.
 func TestConcurrentMulToRecordsConsistently(t *testing.T) {
 	a := synth.SBMGroups(300, 20, 0.8, 0.3, 7)
 	m, _, err := cbm.Compress(a, cbm.Options{})
@@ -45,8 +45,8 @@ func TestConcurrentMulToRecordsConsistently(t *testing.T) {
 	if v := obs.CounterValue(obs.CounterMulCalls); v != calls {
 		t.Fatalf("mul_calls = %d, want %d", v, calls)
 	}
-	if count, nanos := obs.StageTotals(obs.StageUpdate); count != calls || nanos <= 0 {
-		t.Fatalf("update stage count=%d nanos=%d, want count=%d and nanos>0", count, nanos, calls)
+	if count, _ := obs.StageTotals(obs.StageUpdate); count != 0 {
+		t.Fatalf("update stage count=%d, want 0", count)
 	}
 	if count, nanos := obs.StageTotals(obs.StageSpMM); count != calls || nanos <= 0 {
 		t.Fatalf("spmm stage count=%d nanos=%d, want count=%d and nanos>0", count, nanos, calls)

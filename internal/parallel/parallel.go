@@ -1,12 +1,11 @@
 // Package parallel provides shared-memory work distribution primitives
-// used throughout the repository: static and dynamic parallel loops, a
-// deterministic parallel reduction and a simple fork-join helper. They
-// play the role OpenMP's "parallel for" (static and dynamic schedules)
-// plays in the paper's C++ implementation — including OpenMP's cost
-// model: all loops execute on a persistent worker pool (see pool.go)
-// that is started once and reused for the life of the process, so a
-// parallel region costs a few atomic operations, not goroutine
-// creation.
+// used throughout the repository: static and dynamic parallel loops and
+// a simple fork-join helper. They play the role OpenMP's "parallel for"
+// (static and dynamic schedules) plays in the paper's C++
+// implementation — including OpenMP's cost model: all loops execute on
+// a persistent worker pool (see pool.go) that is started once and
+// reused for the life of the process, so a parallel region costs a few
+// atomic operations, not goroutine creation.
 package parallel
 
 import (
@@ -48,38 +47,12 @@ func EffectiveThreads(threads, n int) int {
 // Sequential reports whether a parallel call over n iterations with
 // the given requested thread count will run inline on the calling
 // goroutine. Kernels use it to take closure-free sequential fast
-// paths: a closure passed to For/ForRange/ForDynamic heap-allocates
+// paths: a closure passed to ForRange/ForDynamic heap-allocates
 // at the call site even when the loop then runs inline, which is
 // exactly the per-call garbage the zero-allocation serving path must
 // not produce.
 func Sequential(threads, n int) bool {
 	return clampThreads(threads, n) == 1
-}
-
-// For runs body(i) for i in [0, n) using a static block distribution
-// over the given number of threads. threads < 1 selects
-// DefaultThreads(). It corresponds to OpenMP's schedule(static).
-//
-// body must be safe to call concurrently for distinct i.
-func For(n, threads int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	threads = clampThreads(threads, n)
-	if threads == 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	chunk := (n + threads - 1) / threads
-	j := newJob()
-	j.kind = jobFor
-	j.body = body
-	j.n = n
-	j.chunk = chunk
-	j.nblocks = int64((n + chunk - 1) / chunk)
-	submit(j, threads-1)
 }
 
 // ForRange runs body(lo, hi) over a static partition of [0, n) into
@@ -151,47 +124,4 @@ func Do(fns ...func()) {
 		}(fn)
 	}
 	wg.Wait()
-}
-
-// Reduce computes a parallel reduction over [0, n): each worker folds
-// its block with body into a fresh accumulator obtained from zero(),
-// and the per-worker results are combined left-to-right with merge.
-// merge must be associative; block boundaries are fixed by the static
-// partition and worker results are merged in block order, so
-// non-commutative merges (e.g. float summation order) remain
-// deterministic for a fixed thread count no matter which pool workers
-// execute the blocks.
-func Reduce[T any](n, threads int, zero func() T, body func(acc T, i int) T, merge func(a, b T) T) T {
-	if n <= 0 {
-		return zero()
-	}
-	threads = clampThreads(threads, n)
-	if threads == 1 {
-		acc := zero()
-		for i := 0; i < n; i++ {
-			acc = body(acc, i)
-		}
-		return acc
-	}
-	chunk := (n + threads - 1) / threads
-	nblocks := (n + chunk - 1) / chunk
-	parts := make([]T, nblocks)
-	j := newJob()
-	j.kind = jobRange
-	j.bodyRange = func(lo, hi int) {
-		acc := zero()
-		for i := lo; i < hi; i++ {
-			acc = body(acc, i)
-		}
-		parts[lo/chunk] = acc
-	}
-	j.n = n
-	j.chunk = chunk
-	j.nblocks = int64(nblocks)
-	submit(j, threads-1)
-	acc := parts[0]
-	for t := 1; t < nblocks; t++ {
-		acc = merge(acc, parts[t])
-	}
-	return acc
 }

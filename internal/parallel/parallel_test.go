@@ -1,20 +1,25 @@
 package parallel
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
+// Every loop primitive visits each index once, for thread counts below,
+// at and above n and the default.
 func TestForCoversAllIndices(t *testing.T) {
 	for _, threads := range []int{0, 1, 2, 3, 8, 100} {
 		for _, n := range []int{0, 1, 5, 16, 97} {
 			hits := make([]int32, n)
-			For(n, threads, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			ForDynamic(n, threads, 1, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			ForRange(n, threads, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			})
 			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("threads=%d n=%d: index %d hit %d times", threads, n, i, h)
+				if h != 2 {
+					t.Fatalf("threads=%d n=%d: index %d hit %d times, want once per primitive", threads, n, i, h)
 				}
 			}
 		}
@@ -58,9 +63,8 @@ func TestForDynamicCoversAllIndices(t *testing.T) {
 
 func TestForZeroAndNegativeN(t *testing.T) {
 	called := false
-	For(0, 4, func(int) { called = true })
-	For(-3, 4, func(int) { called = true })
 	ForDynamic(0, 4, 1, func(int) { called = true })
+	ForDynamic(-3, 4, 1, func(int) { called = true })
 	ForRange(-1, 4, func(int, int) { called = true })
 	if called {
 		t.Fatal("body called for non-positive n")
@@ -76,32 +80,6 @@ func TestDoRunsAll(t *testing.T) {
 	)
 	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
 		t.Fatalf("Do missed a function: %d %d %d", a.Load(), b.Load(), c.Load())
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	for _, threads := range []int{1, 2, 5, 16} {
-		n := 1000
-		got := Reduce(n, threads,
-			func() int64 { return 0 },
-			func(acc int64, i int) int64 { return acc + int64(i) },
-			func(a, b int64) int64 { return a + b },
-		)
-		want := int64(n*(n-1)) / 2
-		if got != want {
-			t.Fatalf("threads=%d: Reduce = %d, want %d", threads, got, want)
-		}
-	}
-}
-
-func TestReduceEmptyReturnsZero(t *testing.T) {
-	got := Reduce(0, 4,
-		func() int { return 42 },
-		func(acc, i int) int { return acc + i },
-		func(a, b int) int { return a + b },
-	)
-	if got != 42 {
-		t.Fatalf("Reduce(0) = %d, want zero() = 42", got)
 	}
 }
 
@@ -130,113 +108,6 @@ func TestForDynamicEdgeCases(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestReduceEdgeCases(t *testing.T) {
-	cases := []struct {
-		name       string
-		n, threads int
-	}{
-		{"n smaller than threads", 3, 16},
-		{"threads<1 selects default", 500, 0},
-		{"negative threads selects default", 500, -2},
-		{"single element", 1, 8},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got := Reduce(c.n, c.threads,
-				func() int64 { return 0 },
-				func(acc int64, i int) int64 { return acc + int64(i) },
-				func(a, b int64) int64 { return a + b },
-			)
-			if want := int64(c.n) * int64(c.n-1) / 2; got != want {
-				t.Fatalf("Reduce = %d, want %d", got, want)
-			}
-		})
-	}
-}
-
-// Worker results must merge in block order, so a non-commutative merge
-// (slice concatenation) reproduces the sequential order exactly — and
-// deterministically across repeated runs — for any fixed thread count.
-func TestReduceMergeOrderDeterministic(t *testing.T) {
-	const n = 103
-	want := make([]int, n)
-	for i := range want {
-		want[i] = i
-	}
-	for _, threads := range []int{1, 2, 4, 7, 16, 100} {
-		for rep := 0; rep < 5; rep++ {
-			got := Reduce(n, threads,
-				func() []int { return nil },
-				func(acc []int, i int) []int { return append(acc, i) },
-				func(a, b []int) []int { return append(a, b...) },
-			)
-			if len(got) != n {
-				t.Fatalf("threads=%d rep=%d: %d elements, want %d", threads, rep, len(got), n)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("threads=%d rep=%d: element %d is %d — merge out of block order",
-						threads, rep, i, got[i])
-				}
-			}
-		}
-	}
-}
-
-// Property: parallel sum equals sequential sum for any thread count.
-func TestReduceDeterministicProperty(t *testing.T) {
-	f := func(nRaw uint16, tRaw uint8) bool {
-		n := int(nRaw % 2000)
-		threads := int(tRaw%16) + 1
-		seq := Reduce(n, 1,
-			func() int64 { return 0 },
-			func(acc int64, i int) int64 { return acc + int64(i*i) },
-			func(a, b int64) int64 { return a + b },
-		)
-		par := Reduce(n, threads,
-			func() int64 { return 0 },
-			func(acc int64, i int) int64 { return acc + int64(i*i) },
-			func(a, b int64) int64 { return a + b },
-		)
-		return seq == par
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Regression for the floatmix discipline: float32 summation through
-// Reduce must be bitwise-identical across repetitions for every fixed
-// thread count. Blocks are fixed by the static partition and merged in
-// block order, so the only rounding schedule is the deterministic one;
-// a racy merge or a dynamic partition would break this immediately.
-func TestReduceFloatMergeDeterminism(t *testing.T) {
-	const n = 4097 // odd size: uneven tail block for every thread count
-	xs := make([]float32, n)
-	state := uint64(0x9e3779b97f4a7c15)
-	for i := range xs {
-		state = state*6364136223846793005 + 1442695040888963407
-		// Spread magnitudes so addition order genuinely matters.
-		xs[i] = float32(state>>40) / float32(1+i%37)
-	}
-	sum := func(threads int) float32 {
-		return Reduce(n, threads,
-			func() float32 { return 0 },
-			func(acc float32, i int) float32 { return acc + xs[i] },
-			func(a, b float32) float32 { return a + b },
-		)
-	}
-	for threads := 1; threads <= 8; threads++ {
-		first := sum(threads)
-		for rep := 0; rep < 20; rep++ {
-			if got := sum(threads); math.Float32bits(got) != math.Float32bits(first) {
-				t.Fatalf("threads=%d rep=%d: sum %x, want %x — float merge order is nondeterministic",
-					threads, rep, math.Float32bits(got), math.Float32bits(first))
-			}
-		}
 	}
 }
 

@@ -14,7 +14,7 @@
 //
 //   - Every parallel call is one job: nblocks chunks of consecutive
 //     iterations, claimed from an atomic counter. Static schedules
-//     (For, ForRange, Reduce) use one chunk per thread with the exact
+//     (ForRange) use one chunk per thread with the exact
 //     block boundaries of the pre-pool implementation; dynamic
 //     schedules use grain-sized chunks. Which worker executes a chunk
 //     is irrelevant to results, so routing both schedules through the

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -13,7 +12,7 @@ import (
 // count is explicit: the default degrades to the inline sequential
 // path on single-CPU hosts, which would never touch the pool.
 func warmPool() {
-	For(1024, 8, func(int) {})
+	ForDynamic(1024, 8, 1, func(int) {})
 }
 
 // TestPoolReuseNoGoroutineLeak drives every pool-routed primitive
@@ -26,19 +25,10 @@ func TestPoolReuseNoGoroutineLeak(t *testing.T) {
 
 	var sink atomic.Int64
 	for call := 0; call < 10_500; call++ {
-		switch call % 4 {
-		case 0:
-			For(64, 4, func(i int) { sink.Add(int64(i)) })
-		case 1:
+		if call%2 == 0 {
 			ForRange(64, 3, func(lo, hi int) { sink.Add(int64(hi - lo)) })
-		case 2:
+		} else {
 			ForDynamic(64, 4, 5, func(i int) { sink.Add(1) })
-		case 3:
-			sink.Add(Reduce(64, 4,
-				func() int64 { return 0 },
-				func(acc int64, i int) int64 { return acc + 1 },
-				func(a, b int64) int64 { return a + b },
-			))
 		}
 	}
 
@@ -72,18 +62,19 @@ func TestPoolNestedCallsRaceStress(t *testing.T) {
 	for g := 0; g < outer; g++ {
 		go func(seed int) {
 			var hits [mid * inner]int32
-			For(mid, 4, func(i int) {
+			ForDynamic(mid, 4, 1, func(i int) {
 				ForDynamic(inner, 3, 4, func(k int) {
 					atomic.AddInt32(&hits[i*inner+k], 1)
 				})
-				// A nested reduction exercises jobRange under contention.
-				sum := Reduce(inner, 2,
-					func() int { return 0 },
-					func(acc, k int) int { return acc + k },
-					func(a, b int) int { return a + b },
-				)
-				if sum != inner*(inner-1)/2 {
-					panic("nested Reduce lost iterations")
+				// A nested range loop exercises jobRange under contention.
+				var sum atomic.Int64
+				ForRange(inner, 2, func(lo, hi int) {
+					for k := lo; k < hi; k++ {
+						sum.Add(int64(k))
+					}
+				})
+				if sum.Load() != inner*(inner-1)/2 {
+					panic("nested ForRange lost iterations")
 				}
 			})
 			done <- hits
@@ -97,54 +88,6 @@ func TestPoolNestedCallsRaceStress(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPoolReduceFloatDeterminismUnderLoad pins the scheduling-
-// independence of Reduce: the float32 merge must be bitwise identical
-// for every thread count 1–8 even while unrelated pool traffic runs
-// concurrently, because block boundaries and merge order depend only
-// on (n, threads) — never on which worker executed a block.
-func TestPoolReduceFloatDeterminismUnderLoad(t *testing.T) {
-	const n = 3001
-	xs := make([]float32, n)
-	state := uint64(0x2545f4914f6cdd1d)
-	for i := range xs {
-		state = state*6364136223846793005 + 1442695040888963407
-		xs[i] = float32(state>>40) / float32(1+i%29)
-	}
-	sum := func(threads int) float32 {
-		return Reduce(n, threads,
-			func() float32 { return 0 },
-			func(acc float32, i int) float32 { return acc + xs[i] },
-			func(a, b float32) float32 { return a + b },
-		)
-	}
-
-	stop := make(chan struct{})
-	noise := make(chan struct{})
-	go func() {
-		defer close(noise)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				ForDynamic(512, 6, 7, func(int) {})
-			}
-		}
-	}()
-
-	for threads := 1; threads <= 8; threads++ {
-		want := sum(threads)
-		for rep := 0; rep < 25; rep++ {
-			if got := sum(threads); math.Float32bits(got) != math.Float32bits(want) {
-				t.Errorf("threads=%d rep=%d: sum %x, want %x — Reduce depends on worker identity",
-					threads, rep, math.Float32bits(got), math.Float32bits(want))
-			}
-		}
-	}
-	close(stop)
-	<-noise
 }
 
 // TestPoolSubmitSteadyStateAllocs pins the allocation-free submit
